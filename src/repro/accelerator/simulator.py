@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -31,8 +31,8 @@ from repro.accelerator.orderer import OrderingUnit
 from repro.accelerator.tasks import (
     LayerTasks,
     NeuronTask,
+    chunk_bounds,
     extract_tasks,
-    split_task,
 )
 from repro.bits.formats import DataFormat, Float32Format
 from repro.bits.lanes import lane_fast_path
@@ -226,22 +226,24 @@ class _TaskRecord:
     pe: int
     mc: int
     n_chunks: int
+    # Scalar oracle: each chunk's encoded payload, decoded at arrival.
     encoded: dict[int, EncodedTask | EncodedInputs] = field(
         default_factory=dict
     )
-    # Arrival-plane fast path: original-order words recovered from the
-    # encoded payloads in layer-batched decode passes at encode time
-    # (decode is a pure function of the encoded object, so pre-decoding
-    # is bit-identical to decoding at arrival).  Keyed by chunk index:
-    # full chunks map to (input_words, weight_words, bias), input-only
-    # chunks to the input word row.  Consumed (popped) by ``pe_sink``.
+    # Arrival-plane fast path: MAC operands recovered from the encoded
+    # payloads in grouped decode passes at encode time (decode is a
+    # pure function of the encoded object, so pre-decoding is
+    # bit-identical to decoding at arrival).  Keyed by chunk index:
+    # full chunks map to (input_values, weight_values, bias_value),
+    # input-only chunks to the input value row — float64 rows in
+    # original pair order.  Consumed (popped) by ``pe_sink``.
     decoded: dict[int, object] = field(default_factory=dict)
     partials: dict[int, float] = field(default_factory=dict)
     computed: float | None = None
     response_received: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _ChunkJob:
     """One chunk's encode work order inside ``_encode_tasks``.
 
@@ -252,18 +254,15 @@ class _ChunkJob:
     """
 
     record: _TaskRecord
-    task_id: int
     chunk_index: int
-    mc: int
-    pe: int
     cache_key: tuple
     inputs: np.ndarray
     weights: np.ndarray
     bias: int
     input_only: bool
     encoded: EncodedTask | EncodedInputs | None = None
-    # Filled by the batch codec's grouped decode pass (None under the
-    # scalar oracle, which decodes per packet at arrival).
+    # MAC operands from the batch codec's grouped decode pass (None
+    # under the scalar oracle, which decodes per packet at arrival).
     decoded: object | None = None
 
 
@@ -373,31 +372,36 @@ class AcceleratorSimulator:
         self.last_network = network
         records: dict[int, _TaskRecord] = {}
         pending = _PendingQueue()
+        # This run numbers its own packets from 0, so packet ids (and
+        # every trace that records them) depend only on the run.
+        packet_ids = itertools.count()
         # Outstanding-task counter for the drain loop: O(1) per-cycle
         # termination check instead of re-scanning every task record.
         counters = {"outstanding": 0}
         response_fmt = Float32Format()
+        weight_cache = self.config.weight_cache
 
         def complete_task(record: _TaskRecord) -> None:
             if not record.response_received:
                 record.response_received = True
                 counters["outstanding"] -= 1
-        # Weight-stationary state: per-PE decoded weight blocks and
+        # Weight-stationary state: per-PE cached weight operands and
         # input-only chunks that arrived before their weights.
-        pe_cache: dict[int, dict[tuple, tuple[Sequence[int], int]]] = {}
-        parked: dict[tuple[int, tuple], list[tuple[_TaskRecord, int, Sequence[int]]]] = {}
+        pe_cache: dict[int, dict[tuple, tuple[np.ndarray, float]]] = {}
+        parked: dict[
+            tuple[int, tuple], list[tuple[_TaskRecord, int, np.ndarray]]
+        ] = {}
 
         def finish_chunk(
             record: _TaskRecord,
             chunk_index: int,
-            input_words: Sequence[int] | np.ndarray,
-            weight_words: Sequence[int] | np.ndarray,
-            bias_word: int,
+            input_values: np.ndarray,
+            weight_values: np.ndarray,
+            bias: float,
             cycle: int,
         ) -> None:
-            in_fmt, w_fmt = self._formats[record.task.layer_index]
             record.partials[chunk_index] = _mac(
-                input_words, weight_words, bias_word, in_fmt, w_fmt
+                input_values, weight_values, bias
             )
             if len(record.partials) < record.n_chunks:
                 return
@@ -420,6 +424,7 @@ class AcceleratorSimulator:
                 payloads=[payload],
                 width=self.config.link_width,
                 metadata={"kind": "response", "task_id": record.task.task_id},
+                packet_id=next(packet_ids),
             )
             pending.push(cycle + self.config.compute_delay, response)
 
@@ -431,58 +436,43 @@ class AcceleratorSimulator:
             record: _TaskRecord = records[meta["task_id"]]
             chunk_index = meta["chunk_index"]
             key = meta.get("cache_key")
-            pre = record.decoded.pop(chunk_index, None)
+            operands = record.decoded.pop(chunk_index, None)
+            if operands is not None:
+                # Arrival-plane fast path: the operands were recovered
+                # from this chunk's payload bits in a grouped decode
+                # pass (see _encode_jobs).
+                self.codec_decode_batch_chunks += 1
+            else:
+                operands = self._decode_operands(record, chunk_index)
+                self.codec_decode_scalar_chunks += 1
             if kind == "task":
-                if pre is not None:
-                    # Arrival-plane fast path: the words were recovered
-                    # from this chunk's payload bits in a layer-batched
-                    # decode pass (see _encode_jobs).
-                    input_words, weight_words, bias_word = pre
-                    self.codec_decode_batch_chunks += 1
-                else:
-                    encoded = record.encoded[chunk_index]
-                    assert isinstance(encoded, EncodedTask)
-                    decoded = self.codec.decode(encoded)
-                    pairs = decoded.original_pairs()
-                    input_words = [p[0] for p in pairs]
-                    weight_words = [p[1] for p in pairs]
-                    bias_word = decoded.bias
-                    self.codec_decode_scalar_chunks += 1
+                input_values, weight_values, bias = operands
                 finish_chunk(
                     record,
                     chunk_index,
-                    input_words,
-                    weight_words,
-                    bias_word,
+                    input_values,
+                    weight_values,
+                    bias,
                     cycle,
                 )
-                if self.config.weight_cache and key is not None:
+                if weight_cache and key is not None:
                     cache = pe_cache.setdefault(packet.dst, {})
-                    cache[key] = (weight_words, bias_word)
+                    cache[key] = (weight_values, bias)
                     for rec, ci, inputs in parked.pop((packet.dst, key), []):
                         finish_chunk(
-                            rec, ci, inputs, weight_words, bias_word, cycle
+                            rec, ci, inputs, weight_values, bias, cycle
                         )
                 return
             # Input-only chunk: needs the cached weight block.
-            if pre is not None:
-                input_words = pre
-                self.codec_decode_batch_chunks += 1
-            else:
-                encoded_in = record.encoded[chunk_index]
-                assert isinstance(encoded_in, EncodedInputs)
-                input_words = self.codec.decode_inputs_only(encoded_in)
-                self.codec_decode_scalar_chunks += 1
             cached = pe_cache.get(packet.dst, {}).get(key)
             if cached is None:
                 parked.setdefault((packet.dst, key), []).append(
-                    (record, chunk_index, input_words)
+                    (record, chunk_index, operands)
                 )
                 return
-            weight_words, bias_word = cached
+            weight_values, bias = cached
             finish_chunk(
-                record, chunk_index, input_words, weight_words, bias_word,
-                cycle,
+                record, chunk_index, operands, weight_values, bias, cycle
             )
 
         def mc_sink(packet: Packet, cycle: int) -> None:
@@ -503,7 +493,7 @@ class AcceleratorSimulator:
                 packets_before = network.stats.packets_injected
                 cycles_before = network.cycle
                 for record in self._encode_tasks(
-                    lt.tasks, network.cycle, pending
+                    lt.tasks, network.cycle, pending, packet_ids
                 ):
                     records[record.task.task_id] = record
                 self._schedule_pending(pending)
@@ -533,7 +523,7 @@ class AcceleratorSimulator:
             # interleave freely; one aggregate summary is produced.
             all_tasks = [t for lt in self.layer_tasks for t in lt.tasks]
             for record in self._encode_tasks(
-                all_tasks, network.cycle, pending
+                all_tasks, network.cycle, pending, packet_ids
             ):
                 records[record.task.task_id] = record
             self._schedule_pending(pending)
@@ -604,14 +594,16 @@ class AcceleratorSimulator:
         tasks: list[NeuronTask],
         cycle: int,
         pending: _PendingQueue,
+        packet_ids: Iterator[int],
     ) -> list[_TaskRecord]:
         """Encode the tasks' chunks and queue their request packets.
 
         Three phases so the batch codec can order and flitise every
         same-shaped chunk of the layer in single numpy passes:
 
-        1. wire-format word conversion and weight-cache decisions, in
-           task/chunk order (the cache decisions are order-dependent);
+        1. wire-format word conversion (once per layer), reference
+           MACs and weight-cache decisions, in task/chunk order (the
+           cache decisions are order-dependent);
         2. the codec pass (:meth:`_encode_jobs`) — batched under
            ``codec="batch"``, chunk by chunk under the scalar oracle;
         3. packet assembly, latency accounting and injection in
@@ -619,89 +611,113 @@ class AcceleratorSimulator:
            queue, ordering-unit stats and release cycles are identical
            across codecs.
         """
+        config = self.config
+        weight_cache = config.weight_cache
         jobs: list[_ChunkJob] = []
         records: list[_TaskRecord] = []
-        for task in tasks:
-            if self.config.mapping_policy == "group_affine":
-                pe = self.placement.pe_for_group(
-                    task.layer_index, task.group
-                )
-            else:
-                pe = self.placement.pe_for_task(task.task_id)
-            mc = self.placement.serving_mc[pe]
-            in_fmt, w_fmt = self._formats[task.layer_index]
-            chunks = split_task(task, self.config.chunk_pairs)
-            record = _TaskRecord(
-                task=task,
-                reference=0.0,
-                pe=pe,
-                mc=mc,
-                n_chunks=len(chunks),
+        for layer_index, layer_group in itertools.groupby(
+            tasks, key=lambda t: t.layer_index
+        ):
+            layer = list(layer_group)
+            in_fmt, w_fmt = self._formats[layer_index]
+            # The formats are elementwise, so encoding the layer's
+            # concatenated tasks is bit-identical to encoding chunk by
+            # chunk.  The extra bias slot is the zero bias every
+            # non-final chunk carries.
+            in_words = in_fmt.encode(
+                np.concatenate([t.inputs for t in layer])
             )
-            records.append(record)
-            reference = 0.0
-            for chunk in chunks:
-                input_words = in_fmt.encode(chunk.inputs)
-                weight_words = w_fmt.encode(chunk.weights)
-                bias_word = int(w_fmt.encode(np.array([chunk.bias]))[0])
-                key = (chunk.layer_index, chunk.group, chunk.chunk_index)
-                cached = (
-                    self.config.weight_cache
-                    and key in self._mc_sent_keys[pe]
+            w_words = w_fmt.encode(
+                np.concatenate([t.weights for t in layer])
+            )
+            bias_words = w_fmt.encode(
+                np.array([t.bias for t in layer] + [0.0])
+            )
+            in_values = _values(in_fmt, in_words)
+            w_values = _values(w_fmt, w_words)
+            bias_values = _values(w_fmt, bias_words).tolist()
+            bias_ints = bias_words.tolist()
+            offset = 0
+            for t_idx, task in enumerate(layer):
+                if config.mapping_policy == "group_affine":
+                    pe = self.placement.pe_for_group(layer_index, task.group)
+                else:
+                    pe = self.placement.pe_for_task(task.task_id)
+                mc = self.placement.serving_mc[pe]
+                bounds = chunk_bounds(task.n_pairs, config.chunk_pairs)
+                record = _TaskRecord(
+                    task=task,
+                    reference=0.0,
+                    pe=pe,
+                    mc=mc,
+                    n_chunks=len(bounds),
                 )
-                if not cached and self.config.weight_cache:
-                    self._mc_sent_keys[pe].add(key)
-                jobs.append(
-                    _ChunkJob(
-                        record=record,
-                        task_id=task.task_id,
-                        chunk_index=chunk.chunk_index,
-                        mc=mc,
-                        pe=pe,
-                        cache_key=key,
-                        inputs=input_words,
-                        weights=weight_words,
-                        bias=bias_word,
-                        input_only=cached,
+                records.append(record)
+                sent_keys = self._mc_sent_keys[pe]
+                final = len(bounds) - 1
+                reference = 0.0
+                for chunk_index, (lo, hi) in enumerate(bounds):
+                    lo += offset
+                    hi += offset
+                    b = t_idx if chunk_index == final else -1
+                    key = (layer_index, task.group, chunk_index)
+                    cached = weight_cache and key in sent_keys
+                    if weight_cache and not cached:
+                        sent_keys.add(key)
+                    jobs.append(
+                        _ChunkJob(
+                            record,
+                            chunk_index,
+                            key,
+                            in_words[lo:hi],
+                            w_words[lo:hi],
+                            bias_ints[b],
+                            cached,
+                        )
                     )
-                )
-                # The cached weight block is bit-identical to this
-                # chunk's own words (same filter, same per-layer
-                # scale), so the reference uses the chunk's words in
-                # both paths.
-                reference += _mac(
-                    input_words, weight_words, bias_word, in_fmt, w_fmt
-                )
-            record.reference = reference
+                    # The cached weight block is bit-identical to this
+                    # chunk's own words (same filter, same per-layer
+                    # scale), so the reference uses the chunk's words
+                    # in both paths.
+                    reference += _mac(
+                        in_values[lo:hi], w_values[lo:hi], bias_values[b]
+                    )
+                record.reference = reference
+                offset += task.n_pairs
         self._encode_jobs(jobs)
+        link_width = config.link_width
         current: _TaskRecord | None = None
         release = cycle
         for job in jobs:
-            if job.record is not current:
-                current = job.record
+            record = job.record
+            if record is not current:
+                current = record
                 release = cycle
             encoded = job.encoded
             assert encoded is not None
-            job.record.encoded[job.chunk_index] = encoded
-            if job.decoded is not None:
-                job.record.decoded[job.chunk_index] = job.decoded
+            if job.decoded is None:
+                # Scalar oracle: the sink decodes the payload at arrival.
+                record.encoded[job.chunk_index] = encoded
+            else:
+                record.decoded[job.chunk_index] = job.decoded
             if job.input_only:
                 kind = "task_inputs"
                 delay = 0
             else:
                 kind = "task"
-                delay = self.orderers[job.mc].account(job.inputs.shape[0])
+                delay = self.orderers[record.mc].account(job.inputs.shape[0])
             packet = make_packet(
-                src=job.mc,
-                dst=job.pe,
-                payloads=list(encoded.payloads),
-                width=self.config.link_width,
+                src=record.mc,
+                dst=record.pe,
+                payloads=encoded.payloads,
+                width=link_width,
                 metadata={
                     "kind": kind,
-                    "task_id": job.task_id,
+                    "task_id": record.task.task_id,
                     "chunk_index": job.chunk_index,
                     "cache_key": job.cache_key,
                 },
+                packet_id=next(packet_ids),
             )
             release += delay
             pending.push(release, packet)
@@ -721,7 +737,7 @@ class AcceleratorSimulator:
             return
         # Every MC's unit shares the config's method and effective fill
         # (the baseline's row-major override included).
-        unit = self.orderers[jobs[0].mc]
+        unit = self.orderers[jobs[0].record.mc]
         if self.config.codec == "scalar":
             self.codec_scalar_chunks += len(jobs)
             for job in jobs:
@@ -751,6 +767,10 @@ class AcceleratorSimulator:
             # encode_batch degrades to the per-row scalar reference for
             # exotic lane widths; surface how many chunks took that hit.
             self.codec_fallback_chunks += len(jobs)
+        # Arrival plane: each group's chunks are decoded from their
+        # payload bits in one grouped pass.  Decode is pure in the
+        # encoded object, so this is bit-identical to the scalar
+        # oracle's decode-at-arrival.
         for group_jobs in full.values():
             encoded = self.codec.encode_batch(
                 np.stack([job.inputs for job in group_jobs]),
@@ -759,24 +779,71 @@ class AcceleratorSimulator:
                 unit.method,
                 unit.fill,
             )
-            # Arrival plane: recover each chunk's original-order words
-            # from the transmitted payload bits in one grouped decode
-            # pass.  Decode is pure in the encoded object, so this is
-            # bit-identical to the scalar oracle's decode-at-arrival.
-            decoded = self.codec.decode_batch_words(encoded)
-            for job, enc, dec in zip(group_jobs, encoded, decoded):
+            for job, enc in zip(group_jobs, encoded):
                 job.encoded = enc
-                job.decoded = dec
+            self._fill_operands(
+                group_jobs, self.codec.decode_batch_words(encoded)
+            )
         for group_jobs in inputs_only.values():
             encoded = self.codec.encode_inputs_only_batch(
                 np.stack([job.inputs for job in group_jobs]),
                 self.config.ordering,
                 self.config.fill_order,
             )
-            decoded_rows = self.codec.decode_inputs_only_batch(encoded)
-            for job, enc, row in zip(group_jobs, encoded, decoded_rows):
+            for job, enc in zip(group_jobs, encoded):
                 job.encoded = enc
-                job.decoded = row
+            self._fill_operands(
+                group_jobs, self.codec.decode_inputs_only_batch(encoded)
+            )
+
+    def _fill_operands(self, jobs: list[_ChunkJob], decoded: list) -> None:
+        """Turn a decode group's words into float64 MAC operands.
+
+        One value conversion per layer of the group (formats are per
+        layer, and a pipelined run's group can span layers).  The
+        conversion is elementwise, so it is bit-identical to
+        :meth:`_decode_operands` chunk by chunk.
+        """
+        by_layer: dict[int, list[int]] = {}
+        for i, job in enumerate(jobs):
+            by_layer.setdefault(job.record.task.layer_index, []).append(i)
+        for layer_index, idxs in by_layer.items():
+            in_fmt, w_fmt = self._formats[layer_index]
+            if jobs[idxs[0]].input_only:
+                rows = _values(in_fmt, np.stack([decoded[i] for i in idxs]))
+                for i, row in zip(idxs, rows):
+                    jobs[i].decoded = row
+                continue
+            input_rows = _values(
+                in_fmt, np.stack([decoded[i][0] for i in idxs])
+            )
+            weight_rows = _values(
+                w_fmt, np.stack([decoded[i][1] for i in idxs])
+            )
+            biases = _values(w_fmt, [decoded[i][2] for i in idxs]).tolist()
+            for i, in_row, w_row, bias in zip(
+                idxs, input_rows, weight_rows, biases
+            ):
+                jobs[i].decoded = (in_row, w_row, bias)
+
+    def _decode_operands(self, record: _TaskRecord, chunk_index: int):
+        """Scalar-oracle decode of one delivered chunk to MAC operands.
+
+        Returns ``(input_values, weight_values, bias_value)`` for a
+        full chunk and the input value row for an input-only chunk —
+        what :meth:`_fill_operands` pre-computes on the batch path.
+        """
+        in_fmt, w_fmt = self._formats[record.task.layer_index]
+        encoded = record.encoded[chunk_index]
+        if isinstance(encoded, EncodedInputs):
+            return _values(in_fmt, self.codec.decode_inputs_only(encoded))
+        decoded = self.codec.decode(encoded)
+        pairs = decoded.original_pairs()
+        return (
+            _values(in_fmt, [p[0] for p in pairs]),
+            _values(w_fmt, [p[1] for p in pairs]),
+            float(_values(w_fmt, [decoded.bias])[0]),
+        )
 
     def _schedule_pending(self, pending: _PendingQueue) -> None:
         """Apply the MC injection-order policy to queued packets.
@@ -840,32 +907,27 @@ class AcceleratorSimulator:
         return network.stats.flits_injected - flits_before
 
 
-def _dtype(fmt: DataFormat) -> type:
-    """Numpy unsigned dtype matching a format's word width."""
-    return {8: np.uint8, 16: np.uint16, 32: np.uint32}[fmt.width]
+#: Numpy word dtype per wire-format width.
+_WORD_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32}
+
+
+def _values(fmt: DataFormat, words) -> np.ndarray:
+    """Float64 MAC operands of wire words (elementwise, any shape)."""
+    return fmt.decode(
+        np.asarray(words, dtype=_WORD_DTYPES[fmt.width])
+    ).astype(np.float64)
 
 
 def _mac(
-    input_words: list[int] | np.ndarray,
-    weight_words: list[int] | np.ndarray,
-    bias_word: int,
-    in_fmt: DataFormat,
-    w_fmt: DataFormat,
+    input_values: np.ndarray, weight_values: np.ndarray, bias: float
 ) -> float:
-    """Dot product + bias over decoded wire words (float64 accumulate).
+    """Dot product + bias over decoded operands (float64 accumulate).
 
-    Both the PE-side computation and the reference use this helper with
-    the pairs in *original* order, so a correct recovery yields
-    bit-identical results.
+    The reference, the PE sink and the scalar oracle all call this
+    with contiguous 1-D rows in *original* pair order, so a correct
+    recovery yields bit-identical results.
     """
-    in_vals = in_fmt.decode(
-        np.array(input_words, dtype=_dtype(in_fmt))
-    ).astype(np.float64)
-    w_vals = w_fmt.decode(
-        np.array(weight_words, dtype=_dtype(w_fmt))
-    ).astype(np.float64)
-    bias = float(w_fmt.decode(np.array([bias_word], dtype=_dtype(w_fmt)))[0])
-    return float(in_vals @ w_vals) + bias
+    return float(input_values @ weight_values) + bias
 
 
 def run_model_on_noc(

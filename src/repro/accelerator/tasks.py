@@ -22,7 +22,14 @@ import numpy as np
 from repro.dnn.layers import Conv2d, Linear, im2col
 from repro.dnn.models import ModelSpec
 
-__all__ = ["NeuronTask", "TaskChunk", "LayerTasks", "extract_tasks", "split_task"]
+__all__ = [
+    "NeuronTask",
+    "TaskChunk",
+    "LayerTasks",
+    "chunk_bounds",
+    "extract_tasks",
+    "split_task",
+]
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,26 @@ class TaskChunk:
         return self.chunk_index == self.n_chunks - 1
 
 
+def chunk_bounds(
+    n_pairs: int, chunk_pairs: int | None
+) -> list[tuple[int, int]]:
+    """``(lo, hi)`` pair ranges of a task's chunks, in chunk order.
+
+    Args:
+        n_pairs: the task's pair count.
+        chunk_pairs: maximum pairs per chunk (paper: k*k = 25); None
+            keeps the whole task in one chunk.
+    """
+    if chunk_pairs is None or chunk_pairs >= n_pairs:
+        return [(0, n_pairs)]
+    if chunk_pairs <= 0:
+        raise ValueError("chunk_pairs must be positive")
+    return [
+        (lo, min(lo + chunk_pairs, n_pairs))
+        for lo in range(0, n_pairs, chunk_pairs)
+    ]
+
+
 def split_task(task: NeuronTask, chunk_pairs: int | None) -> list[TaskChunk]:
     """Decompose a neuron task into packet-sized chunks.
 
@@ -107,39 +134,21 @@ def split_task(task: NeuronTask, chunk_pairs: int | None) -> list[TaskChunk]:
         chunk_pairs: maximum pairs per chunk (paper: k*k = 25); None
             keeps the whole task in one chunk.
     """
-    n = task.n_pairs
-    if chunk_pairs is None or chunk_pairs >= n:
-        return [
-            TaskChunk(
-                task_id=task.task_id,
-                chunk_index=0,
-                n_chunks=1,
-                layer_index=task.layer_index,
-                group=task.group,
-                inputs=task.inputs,
-                weights=task.weights,
-                bias=task.bias,
-            )
-        ]
-    if chunk_pairs <= 0:
-        raise ValueError("chunk_pairs must be positive")
-    n_chunks = -(-n // chunk_pairs)
-    chunks = []
-    for c in range(n_chunks):
-        lo, hi = c * chunk_pairs, min((c + 1) * chunk_pairs, n)
-        chunks.append(
-            TaskChunk(
-                task_id=task.task_id,
-                chunk_index=c,
-                n_chunks=n_chunks,
-                layer_index=task.layer_index,
-                group=task.group,
-                inputs=task.inputs[lo:hi],
-                weights=task.weights[lo:hi],
-                bias=task.bias if c == n_chunks - 1 else 0.0,
-            )
+    bounds = chunk_bounds(task.n_pairs, chunk_pairs)
+    n_chunks = len(bounds)
+    return [
+        TaskChunk(
+            task_id=task.task_id,
+            chunk_index=c,
+            n_chunks=n_chunks,
+            layer_index=task.layer_index,
+            group=task.group,
+            inputs=task.inputs[lo:hi],
+            weights=task.weights[lo:hi],
+            bias=task.bias if c == n_chunks - 1 else 0.0,
         )
-    return chunks
+        for c, (lo, hi) in enumerate(bounds)
+    ]
 
 
 @dataclass(frozen=True)

@@ -649,7 +649,11 @@ class CampaignRunner:
             name = "jobs"
             jobs = list(sweep)
         started = time.perf_counter()
-        corrupt_before = self.cache.corrupt_dropped if self.cache else 0
+        # ``is not None``, never truthiness: ResultCache.__len__ globs
+        # the cache directory, and an empty cache must still be read.
+        corrupt_before = (
+            self.cache.corrupt_dropped if self.cache is not None else 0
+        )
 
         journal_done: dict[str, dict[str, Any]] = {}
         if self.journal is not None:
@@ -675,7 +679,9 @@ class CampaignRunner:
             if journaled is not None:
                 resumed[index] = journaled
                 continue
-            record = self.cache.get_job(job) if self.cache else None
+            record = (
+                self.cache.get_job(job) if self.cache is not None else None
+            )
             if record is not None:
                 cached[index] = record
             else:
@@ -761,7 +767,9 @@ class CampaignRunner:
                 progress(_progress_line(record))
         out.elapsed_seconds = time.perf_counter() - started
         corrupt_delta = (
-            self.cache.corrupt_dropped - corrupt_before if self.cache else 0
+            self.cache.corrupt_dropped - corrupt_before
+            if self.cache is not None
+            else 0
         )
         out.metrics = self._aggregate_metrics(out, corrupt_delta)
         registry = active_registry()

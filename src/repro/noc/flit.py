@@ -11,13 +11,11 @@ release in the routers.
 from __future__ import annotations
 
 import enum
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["FlitType", "Flit", "Packet", "make_packet"]
-
-_packet_ids = itertools.count()
 
 
 class FlitType(enum.Enum):
@@ -37,9 +35,18 @@ class FlitType(enum.Enum):
         return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
 
 
-@dataclass
+_HEAD = FlitType.HEAD
+_BODY = FlitType.BODY
+_TAIL = FlitType.TAIL
+_HEAD_TAIL = FlitType.HEAD_TAIL
+
+
 class Flit:
     """One link-width transmission unit.
+
+    A plain ``__slots__`` record: the simulator builds tens of
+    thousands per run, so construction does no validation —
+    :func:`make_packet` checks a packet's payload range once.
 
     Attributes:
         packet_id: owning packet.
@@ -49,29 +56,41 @@ class Flit:
         dst: destination node id.
         payload: payload bits as a non-negative int.
         width: payload width in bits (= link width).
+        is_head / is_tail: plain-bool mirrors of the FlitType
+            properties (the cycle loop tests them on every hop).
     """
 
-    packet_id: int
-    index: int
-    flit_type: FlitType
-    src: int
-    dst: int
-    payload: int
-    width: int
+    __slots__ = (
+        "packet_id",
+        "index",
+        "flit_type",
+        "src",
+        "dst",
+        "payload",
+        "width",
+        "is_head",
+        "is_tail",
+    )
 
-    def __post_init__(self) -> None:
-        if self.payload < 0:
-            raise ValueError("flit payload must be non-negative")
-        if self.payload >> self.width:
-            raise ValueError(
-                f"payload needs more than {self.width} bits "
-                f"(packet {self.packet_id}, flit {self.index})"
-            )
-        # Plain-bool mirrors of the FlitType properties, precomputed
-        # once: the cycle loop tests tail-ness on every hop and every
-        # ejection, where two chained property calls are measurable.
-        self.is_head: bool = self.flit_type.is_head
-        self.is_tail: bool = self.flit_type.is_tail
+    def __init__(
+        self,
+        packet_id: int,
+        index: int,
+        flit_type: FlitType,
+        src: int,
+        dst: int,
+        payload: int,
+        width: int,
+    ) -> None:
+        self.packet_id = packet_id
+        self.index = index
+        self.flit_type = flit_type
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.width = width
+        self.is_head = flit_type is _HEAD or flit_type is _HEAD_TAIL
+        self.is_tail = flit_type is _TAIL or flit_type is _HEAD_TAIL
 
     def wire_bits(self, include_header: bool = False, header_width: int = 16) -> int:
         """Bit image seen by a link.
@@ -126,9 +145,11 @@ class Packet:
 def make_packet(
     src: int,
     dst: int,
-    payloads: list[int],
+    payloads: Sequence[int],
     width: int,
     metadata: dict[str, Any] | None = None,
+    *,
+    packet_id: int,
 ) -> Packet:
     """Build a packet from per-flit payload ints.
 
@@ -138,31 +159,32 @@ def make_packet(
         payloads: one int per flit, each below ``2**width``.
         width: link width in bits.
         metadata: optional free-form tag copied onto the packet.
+        packet_id: the packet's id, unique among the packets in flight
+            on one network.  Callers number their own packets (a run
+            counts from 0), so ids never depend on what the process
+            ran before.
     """
-    if not payloads:
-        raise ValueError("a packet needs at least one flit")
-    packet_id = next(_packet_ids)
     n = len(payloads)
-    flits = []
-    for i, payload in enumerate(payloads):
-        if n == 1:
-            ftype = FlitType.HEAD_TAIL
-        elif i == 0:
-            ftype = FlitType.HEAD
-        elif i == n - 1:
-            ftype = FlitType.TAIL
-        else:
-            ftype = FlitType.BODY
-        flits.append(
-            Flit(
-                packet_id=packet_id,
-                index=i,
-                flit_type=ftype,
-                src=src,
-                dst=dst,
-                payload=payload,
-                width=width,
+    if not n:
+        raise ValueError("a packet needs at least one flit")
+    if min(payloads) < 0:
+        raise ValueError("flit payload must be non-negative")
+    if max(payloads) >> width:
+        index = next(i for i, p in enumerate(payloads) if p >> width)
+        raise ValueError(
+            f"payload needs more than {width} bits "
+            f"(packet {packet_id}, flit {index})"
+        )
+    if n == 1:
+        flits = [Flit(packet_id, 0, _HEAD_TAIL, src, dst, payloads[0], width)]
+    else:
+        flits = [Flit(packet_id, 0, _HEAD, src, dst, payloads[0], width)]
+        for i in range(1, n - 1):
+            flits.append(
+                Flit(packet_id, i, _BODY, src, dst, payloads[i], width)
             )
+        flits.append(
+            Flit(packet_id, n - 1, _TAIL, src, dst, payloads[-1], width)
         )
     return Packet(
         packet_id=packet_id,

@@ -43,7 +43,6 @@ are resolved once, not per hop).
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -367,15 +366,11 @@ class Network:
         )
         # Optional per-link wire-image trace (see repro.workloads.traces
         # and repro.noc.recorder.TraceRecorder): any object with
-        # record(link_name, bits, cycle, vc, flit) works; if it also
-        # exposes record_send(cycle, packet), every packet injection
-        # event is captured too (what trace replay re-injects).
-        # Collectors with the historical 3-arg record(link, bits,
-        # cycle) signature keep working — the hook arity is resolved
-        # once per collector, not per hop.
+        # record(link_name, bits, cycle, vc, flit), called with five
+        # positional arguments per recorded hop; if it also exposes
+        # record_send(cycle, packet), every packet injection event is
+        # captured too (what trace replay re-injects).
         self.trace_collector = None
-        self._trace_hook = None
-        self._trace_hook_owner = None
 
     # -- traffic interface ---------------------------------------------
 
@@ -416,13 +411,15 @@ class Network:
         stats = self.stats
         # Port is an IntEnum: indexing lists with it directly avoids
         # the enum .value descriptor on the per-hop path.
-        if out_port is not _LOCAL or self._record_ejection:
-            recorder = self._recorders[node][out_port]
+        local = out_port is _LOCAL
+        if not local or self._record_ejection:
+            recorders = self._recorders[node]
+            recorder = recorders[out_port]
             if recorder is None:
                 recorder = self.ledger.recorder_for(
                     f"R{node}.{out_port.name}"
                 )
-                self._recorders[node][out_port] = recorder
+                recorders[out_port] = recorder
             # With header bits excluded (the default) the wire image is
             # exactly the payload — skip the wire_bits() call per hop.
             bits = (
@@ -439,14 +436,11 @@ class Network:
             ledger._total_transitions += caused
             ledger._total_flits += 1
             stats.total_bit_transitions += caused
-            if self.trace_collector is not None:
-                if self.trace_collector is not self._trace_hook_owner:
-                    self._bind_trace_hook()
-                self._trace_hook(
-                    recorder.name, bits, self.cycle, out_vc, flit
-                )
+            collector = self.trace_collector
+            if collector is not None:
+                collector.record(recorder.name, bits, self.cycle, out_vc, flit)
         stats.flit_hops += 1
-        if out_port is _LOCAL:
+        if local:
             self._ejections.append((node, flit))
             return
         neighbor = self._neighbor_of[node][out_port]
@@ -481,60 +475,6 @@ class Network:
                 flit,
             )
         )
-
-    def _bind_trace_hook(self) -> None:
-        """Resolve the trace collector's record() arity, once.
-
-        The hook protocol grew from ``record(link, bits, cycle)`` to
-        ``record(link, bits, cycle, vc, flit)``; collectors written
-        against the old protocol are adapted instead of crashing on
-        the first traced hop.
-        """
-        record = self.trace_collector.record
-        legacy = keyword_only = False
-        try:
-            params = inspect.signature(record).parameters
-            n_positional = sum(
-                p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-                for p in params.values()
-            )
-            var_positional = any(
-                p.kind is p.VAR_POSITIONAL for p in params.values()
-            )
-            kw_names = {
-                name
-                for name, p in params.items()
-                if p.kind is p.KEYWORD_ONLY
-            } | (
-                {"vc", "flit"}
-                if any(p.kind is p.VAR_KEYWORD for p in params.values())
-                else set()
-            )
-            if not var_positional and n_positional == 3:
-                if {"vc", "flit"} <= kw_names:
-                    keyword_only = True
-                else:
-                    legacy = True
-            # Any other shape gets the direct 5-positional call: a
-            # genuinely incompatible signature then raises TypeError
-            # instead of silently losing vc/flit.
-        except (TypeError, ValueError):  # builtins without signatures
-            pass
-        if keyword_only:
-            self._trace_hook = (
-                lambda name, bits, cycle, vc, flit: record(
-                    name, bits, cycle, vc=vc, flit=flit
-                )
-            )
-        elif legacy:
-            self._trace_hook = (
-                lambda name, bits, cycle, vc, flit: record(
-                    name, bits, cycle
-                )
-            )
-        else:
-            self._trace_hook = record
-        self._trace_hook_owner = self.trace_collector
 
     def queue_credit(self, router: Router, in_port: Port, vc_idx: int) -> None:
         """Return a buffer credit to the upstream router."""

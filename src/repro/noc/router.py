@@ -415,17 +415,20 @@ class Router:
     ) -> None:
         """Move the winning flit of slot ``flat`` across ``out_port``."""
         state = self._slots[flat]
-        flit = state.fifo.popleft()
+        fifo = state.fifo
+        flit = fifo.popleft()
         self.buffered_flits -= 1
-        if not state.fifo:
+        if not fifo:
             self._occupied.discard(flat)
         out_vc = state.out_vc
         if out_vc is None:
             raise ProtocolError("traversal without an allocated VC")
-        if out_port is not _LOCAL:
+        local = out_port is _LOCAL
+        if not local:
             port_credits = self.credits[out_port]
-            port_credits[out_vc] -= 1
-            if port_credits[out_vc] < 0:
+            credits_left = port_credits[out_vc] - 1
+            port_credits[out_vc] = credits_left
+            if credits_left < 0:
                 raise ProtocolError(
                     f"router {self.node_id} port {out_port.name} "
                     f"VC {out_vc}: credit underflow"
@@ -433,15 +436,14 @@ class Router:
         network.transmit(self, out_port, out_vc, flit)
         n_vcs = self.n_vcs
         if flat >= n_vcs:  # non-LOCAL input port: return the credit
-            network._queue_credit(
-                self.node_id, flat // n_vcs, flat % n_vcs
-            )
+            in_port, in_vc = divmod(flat, n_vcs)
+            network._queue_credit(self.node_id, in_port, in_vc)
         if flit.is_tail:
-            if out_port is not _LOCAL:
+            if not local:
                 self._out_holder[out_port][out_vc] = None
             state.out_port = None
             state.out_vc = None
-            if state.fifo:
+            if fifo:
                 self._needs_alloc.add(flat)
 
     # -- buffer interface (used by the network and the NIs) ------------

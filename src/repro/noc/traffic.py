@@ -177,7 +177,9 @@ def generate_traffic(
             for f in range(config.flits_per_packet)
         ]
         cycle = int(rng.integers(0, config.injection_window))
-        events.append((cycle, make_packet(src, dst, payloads, noc.link_width)))
+        # Packet ids number this call's packets from 0.
+        packet = make_packet(src, dst, payloads, noc.link_width, packet_id=i)
+        events.append((cycle, packet))
     events.sort(key=lambda e: e[0])
     yield from events
 

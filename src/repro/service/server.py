@@ -183,7 +183,7 @@ class SweepServer:
         """
         self._started_at = time.perf_counter()
         self._corrupt_before = (
-            self.cache.corrupt_dropped if self.cache else 0
+            self.cache.corrupt_dropped if self.cache is not None else 0
         )
         journal_done: dict[str, dict[str, Any]] = {}
         if self.journal is not None:
@@ -214,7 +214,11 @@ class SweepServer:
             if record is not None:
                 self._resumed[index] = record
                 continue
-            record = self.cache.get_job(job) if self.cache else None
+            # ``is not None``: ResultCache.__len__ globs the directory,
+            # and an empty cache must still be read.
+            record = (
+                self.cache.get_job(job) if self.cache is not None else None
+            )
             if record is not None:
                 self._cached[index] = record
             else:
@@ -643,7 +647,7 @@ class SweepServer:
                 merge_metrics(metrics, snapshot)
         corrupt = (
             self.cache.corrupt_dropped - self._corrupt_before
-            if self.cache
+            if self.cache is not None
             else 0
         )
         merge_metrics(

@@ -82,7 +82,7 @@ class _ScheduleCollector:
         self.events: list[_Event] = []
 
     def record(self, name, bits, cycle, vc, flit) -> None:
-        """Per-hop hook: unused, but required by the hook binding."""
+        """Per-hop hook: unused, but part of the collector protocol."""
 
     def record_send(self, cycle: int, packet: Packet) -> None:
         self.events.append(
@@ -454,6 +454,8 @@ def run_serving(
 
     heap: list[tuple[int, int, Packet]] = []
     seq = itertools.count()
+    # The serving run numbers its own packets from 0.
+    packet_ids = itertools.count()
 
     def admit(now: int, t_idx: int, r_idx: int) -> None:
         nonlocal batch_delay_total
@@ -487,6 +489,7 @@ def run_serving(
                 list(payloads),
                 noc.link_width,
                 metadata={"tenant": t_idx, "request": r_idx},
+                packet_id=next(packet_ids),
             )
             tracker.tenant_of[packet.packet_id] = t_idx
             tstats.packets_injected += 1

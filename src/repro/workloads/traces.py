@@ -704,16 +704,19 @@ def replay_through_network(
     network = Network(noc, core=core)
     network.trace_collector = trace_collector
     events = []
-    for event in trace.packets:
+    # The replay numbers its packets from 0 in recorded send order.
+    for packet_id, event in enumerate(trace.packets):
         payloads = list(event.payloads)
         if ordering == "popcount_desc":
             payloads.sort(key=int.bit_count, reverse=True)
-        events.append(
-            (
-                event.cycle,
-                make_packet(event.src, event.dst, payloads, noc.link_width),
-            )
+        packet = make_packet(
+            event.src,
+            event.dst,
+            payloads,
+            noc.link_width,
+            packet_id=packet_id,
         )
+        events.append((event.cycle, packet))
     return drive_schedule(network, events, max_cycles=max_cycles)
 
 

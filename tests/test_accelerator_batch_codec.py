@@ -11,14 +11,16 @@ methods, fills and geometries must round-trip and match the oracle.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accelerator.config import TASK_CODECS, AcceleratorConfig
-from repro.accelerator.flitize import TaskCodec
-from repro.accelerator.simulator import run_model_on_noc
+from repro.accelerator.flitize import EncodedInputs, TaskCodec
+from repro.accelerator.simulator import AcceleratorSimulator, run_model_on_noc
 from repro.ordering.strategies import FillOrder, OrderingMethod
 
 
@@ -397,18 +399,27 @@ def _run_config(codec_name: str, **overrides):
         figure_trained_lenet,
     )
 
-    config = AcceleratorConfig(
-        width=4,
-        height=4,
-        n_mcs=2,
-        max_tasks_per_layer=4,
-        seed=11,
-        codec=codec_name,
-        **overrides,
-    )
+    kwargs = dict(width=4, height=4, n_mcs=2, max_tasks_per_layer=4, seed=11)
+    kwargs.update(overrides)
+    config = AcceleratorConfig(codec=codec_name, **kwargs)
     return run_model_on_noc(
         config, figure_trained_lenet(), figure_lenet_image()
     )
+
+
+def _run_capturing_records(codec_name: str, **overrides):
+    """``_run_config`` that also returns the run's task records."""
+    records = []
+    original = AcceleratorSimulator._encode_tasks
+
+    def capture(self, *args):
+        batch = original(self, *args)
+        records.extend(batch)
+        return batch
+
+    with mock.patch.object(AcceleratorSimulator, "_encode_tasks", capture):
+        run = _run_config(codec_name, **overrides)
+    return records, run
 
 
 class TestSimulatorCodecEquivalence:
@@ -470,6 +481,43 @@ class TestSimulatorCodecEquivalence:
                 assert decode_batch == 0 and decode_scalar > 0
             results[codec_name] = payload
         assert results["batch"] == results["scalar"]
+
+    @pytest.mark.parametrize("include_responses", [True, False])
+    @pytest.mark.parametrize("weight_cache", [True, False])
+    @pytest.mark.parametrize("ordering", list(OrderingMethod))
+    @pytest.mark.parametrize("data_format", ["fixed8", "float32"])
+    def test_computed_macs_identical_across_codecs(
+        self, data_format, ordering, weight_cache, include_responses
+    ):
+        """Every task's PE-side MAC is exactly (==) the scalar oracle's.
+
+        The batch codec converts MAC operands per decode group and the
+        oracle per packet at arrival; both must land on the same
+        float64 bits, with and without weight-stationary parking.
+        """
+        computed = {}
+        for codec_name in TASK_CODECS:
+            records, run = _run_capturing_records(
+                codec_name,
+                data_format=data_format,
+                ordering=ordering,
+                weight_cache=weight_cache,
+                include_responses=include_responses,
+                mapping_policy="group_affine",
+                max_tasks_per_layer=8,
+            )
+            assert run.all_verified
+            values = {r.task.task_id: r.computed for r in records}
+            assert None not in values.values()
+            computed[codec_name] = values
+            if codec_name == "scalar" and weight_cache:
+                # The input-only (parked weight) path really ran.
+                assert any(
+                    isinstance(e, EncodedInputs)
+                    for r in records
+                    for e in r.encoded.values()
+                )
+        assert computed["batch"] == computed["scalar"]
 
     def test_config_rejects_unknown_codec(self):
         with pytest.raises(ValueError, match="unknown task codec"):

@@ -358,6 +358,20 @@ class TestTraceReplayCLI:
         assert "wrote trace" in capsys.readouterr().out
         assert TrafficTrace.load(path).is_replayable
 
+    def test_run_noc_trace_independent_of_process_history(
+        self, tmp_path, capsys
+    ):
+        """Packet ids are numbered per run, so two identical captures
+        in one process are byte-identical content (same digest)."""
+        from repro.workloads.traces import trace_digest
+
+        paths = [str(tmp_path / f"run{i}.trace.gz") for i in range(2)]
+        for path in paths:
+            assert main(["run-noc", "--mesh", "2x2", "--mcs", "1",
+                         "--tasks", "2", "--trace", path]) == 0
+        capsys.readouterr()
+        assert trace_digest(paths[0]) == trace_digest(paths[1])
+
     def test_replay_sweep_cold_cached_and_report(self, tmp_path, capsys):
         trace = self.record_trace(tmp_path, capsys)
         argv = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.accelerator.config import AcceleratorConfig
@@ -16,6 +18,9 @@ from repro.experiments.runner import CampaignRunner, execute_job
 from repro.experiments.spec import JobSpec, SweepSpec
 from repro.noc.network import NoCConfig
 from repro.noc.traffic import SyntheticTrafficConfig, TrafficPattern
+
+# Unique packet ids for hand-built test traffic.
+_IDS = itertools.count()
 
 
 def tiny_accel(**overrides) -> AcceleratorConfig:
@@ -319,7 +324,11 @@ def recorded_trace_file(path) -> str:
     net = Network(NoCConfig(width=3, height=3, link_width=32))
     net.trace_collector = TraceRecorder()
     for src in range(5):
-        net.send_packet(make_packet(src, 8, [src * 37, src ^ 0x1F], 32))
+        net.send_packet(
+            make_packet(
+                src, 8, [src * 37, src ^ 0x1F], 32, packet_id=next(_IDS)
+            )
+        )
     net.run_until_drained()
     net.trace_collector.finish(net.config).save(path)
     return str(path)
@@ -569,7 +578,11 @@ class TestReplayInjectionLinkComparability:
         )
         net.trace_collector = TraceRecorder()
         for src in range(5):
-            net.send_packet(make_packet(src, 8, [src * 37, src ^ 0x1F], 32))
+            net.send_packet(
+                make_packet(
+                    src, 8, [src * 37, src ^ 0x1F], 32, packet_id=next(_IDS)
+                )
+            )
         net.run_until_drained()
         path = tmp_path / "inj.trace.gz"
         net.trace_collector.finish(net.config).save(path)

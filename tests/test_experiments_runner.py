@@ -121,6 +121,43 @@ class TestCampaignRunner:
             CampaignRunner(workers=0)
 
 
+def spy_on_cache(monkeypatch) -> list[str]:
+    """Forbid ``ResultCache.__len__``; record every ``get_job`` call.
+
+    Sizing the cache globs its directory, so a run must test the cache
+    with ``is not None`` — and an empty (falsy) cache must still be
+    read job by job.
+    """
+
+    def no_len(self):
+        raise AssertionError("ResultCache.__len__ called during a run")
+
+    consulted: list[str] = []
+    original = ResultCache.get_job
+
+    def get_job(self, job):
+        consulted.append(job.job_id)
+        return original(self, job)
+
+    monkeypatch.setattr(ResultCache, "__len__", no_len)
+    monkeypatch.setattr(ResultCache, "get_job", get_job)
+    return consulted
+
+
+class TestCacheConsultation:
+    def test_cold_cache_read_and_never_sized(self, tmp_path, monkeypatch):
+        consulted = spy_on_cache(monkeypatch)
+        spec = small_spec()
+        job_ids = [job.job_id for job in spec.expand()]
+        runner = CampaignRunner(cache=ResultCache(tmp_path / "c"), workers=1)
+        cold = runner.run(spec)
+        assert (cold.hits, cold.misses) == (0, 4)
+        assert consulted == job_ids
+        warm = runner.run(spec)
+        assert (warm.hits, warm.misses) == (4, 0)
+        assert consulted == job_ids * 2
+
+
 @pytest.fixture
 def flaky_kind():
     """A registered kind whose handler raises until told otherwise."""

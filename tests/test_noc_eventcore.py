@@ -13,6 +13,8 @@ injection-link recording.
 
 from __future__ import annotations
 
+import itertools
+
 import dataclasses
 
 import numpy as np
@@ -36,6 +38,9 @@ from repro.noc.traffic import (
     drive_synthetic,
 )
 from repro.ordering.strategies import OrderingMethod
+
+# Unique packet ids for hand-built test traffic.
+_IDS = itertools.count()
 
 
 def run_synthetic_pair(traffic: SyntheticTrafficConfig, noc: NoCConfig):
@@ -158,8 +163,12 @@ class TestSyntheticEquivalence:
         for core in CORES:
             with network_core(core):
                 net = Network(noc)
-                net.send_packet(make_packet(0, 3, [7, 9], 32))
-                net.send_packet(make_packet(1, 3, [3], 32))
+                net.send_packet(
+                    make_packet(0, 3, [7, 9], 32, packet_id=next(_IDS))
+                )
+                net.send_packet(
+                    make_packet(1, 3, [3], 32, packet_id=next(_IDS))
+                )
                 net.run_until_drained()
                 results[core] = net
         assert_networks_equal(results["event"], results["stepped"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,9 @@ from repro.bits.popcount import popcount
 from repro.noc.flit import make_packet
 from repro.noc.network import Network, NoCConfig, SimulationTimeout
 from repro.noc.routing import Port
+
+# Unique packet ids for hand-built test traffic.
+_IDS = itertools.count()
 
 
 def small_net(**kwargs) -> Network:
@@ -22,7 +27,7 @@ def small_net(**kwargs) -> Network:
 class TestDelivery:
     def test_single_packet(self):
         net = small_net()
-        pkt = make_packet(0, 15, [1, 2, 3], 64)
+        pkt = make_packet(0, 15, [1, 2, 3], 64, packet_id=next(_IDS))
         net.send_packet(pkt)
         stats = net.run_until_drained()
         assert stats.packets_delivered == 1
@@ -31,14 +36,16 @@ class TestDelivery:
 
     def test_self_delivery(self):
         net = small_net()
-        net.send_packet(make_packet(3, 3, [9], 64))
+        net.send_packet(make_packet(3, 3, [9], 64, packet_id=next(_IDS)))
         stats = net.run_until_drained()
         assert stats.packets_delivered == 1
 
     def test_payload_integrity(self):
         net = small_net()
         payloads = [0xDEADBEEF, 0x12345678, 0x0F0F0F0F]
-        net.send_packet(make_packet(2, 13, list(payloads), 64))
+        net.send_packet(
+            make_packet(2, 13, list(payloads), 64, packet_id=next(_IDS))
+        )
         net.run_until_drained()
         delivered = net.nis[13].delivered[0]
         assert [f.payload for f in delivered.flits] == payloads
@@ -46,7 +53,9 @@ class TestDelivery:
     def test_all_to_one(self):
         net = small_net()
         for src in range(16):
-            net.send_packet(make_packet(src, 0, [src, src + 100], 64))
+            net.send_packet(
+                make_packet(src, 0, [src, src + 100], 64, packet_id=next(_IDS))
+            )
         stats = net.run_until_drained()
         assert stats.packets_delivered == 16
         assert len(net.nis[0].delivered) == 16
@@ -57,7 +66,12 @@ class TestDelivery:
         for src in range(16):
             for dst in range(16):
                 if src != dst:
-                    net.send_packet(make_packet(src, dst, [src * 16 + dst], 64))
+                    net.send_packet(
+                        make_packet(
+                            src, dst, [src * 16 + dst], 64,
+                            packet_id=next(_IDS),
+                        )
+                    )
                     count += 1
         stats = net.run_until_drained(max_cycles=50_000)
         assert stats.packets_delivered == count
@@ -65,7 +79,9 @@ class TestDelivery:
     def test_flit_order_preserved(self):
         # Wormhole switching must keep a packet's flits in order.
         net = small_net()
-        net.send_packet(make_packet(0, 15, list(range(10)), 64))
+        net.send_packet(
+            make_packet(0, 15, list(range(10)), 64, packet_id=next(_IDS))
+        )
         net.run_until_drained()
         delivered = net.nis[15].delivered[0]
         assert [f.index for f in delivered.flits] == list(range(10))
@@ -73,16 +89,16 @@ class TestDelivery:
     def test_invalid_nodes_rejected(self):
         net = small_net()
         with pytest.raises(ValueError):
-            net.send_packet(make_packet(0, 99, [1], 64))
+            net.send_packet(make_packet(0, 99, [1], 64, packet_id=next(_IDS)))
 
     def test_wrong_flit_width_rejected(self):
         net = small_net()
         with pytest.raises(ValueError):
-            net.send_packet(make_packet(0, 1, [1], 32))
+            net.send_packet(make_packet(0, 1, [1], 32, packet_id=next(_IDS)))
 
     def test_timeout_raises(self):
         net = small_net()
-        net.send_packet(make_packet(0, 15, [1] * 8, 64))
+        net.send_packet(make_packet(0, 15, [1] * 8, 64, packet_id=next(_IDS)))
         with pytest.raises(SimulationTimeout):
             net.run_until_drained(max_cycles=2)
 
@@ -90,8 +106,8 @@ class TestDelivery:
 class TestLatency:
     def test_latency_scales_with_distance(self):
         net = small_net()
-        near = make_packet(0, 1, [1], 64)
-        far = make_packet(0, 15, [1], 64)
+        near = make_packet(0, 1, [1], 64, packet_id=next(_IDS))
+        far = make_packet(0, 15, [1], 64, packet_id=next(_IDS))
         net.send_packet(near)
         net.send_packet(far)
         net.run_until_drained()
@@ -99,7 +115,7 @@ class TestLatency:
 
     def test_min_latency_is_hops_plus_overhead(self):
         net = small_net()
-        pkt = make_packet(0, 3, [7], 64)  # 3 hops east
+        pkt = make_packet(0, 3, [7], 64, packet_id=next(_IDS))  # 3 hops east
         net.send_packet(pkt)
         net.run_until_drained()
         # 3 inter-router hops + injection + ejection under zero load.
@@ -108,7 +124,9 @@ class TestLatency:
     def test_mean_latency_stat(self):
         net = small_net()
         for dst in (1, 2, 3):
-            net.send_packet(make_packet(0, dst, [dst], 64))
+            net.send_packet(
+                make_packet(0, dst, [dst], 64, packet_id=next(_IDS))
+            )
         stats = net.run_until_drained()
         assert stats.mean_latency > 0
         assert len(stats.packet_latencies) == 3
@@ -118,25 +136,33 @@ class TestBTAccounting:
     def test_single_hop_bt_matches_manual(self):
         # Two packets over the same single link: BT = popcount(xor).
         net = small_net(record_ejection=False)
-        net.send_packet(make_packet(0, 1, [0x00FF], 64))
+        net.send_packet(make_packet(0, 1, [0x00FF], 64, packet_id=next(_IDS)))
         net.run_until_drained()
-        net.send_packet(make_packet(0, 1, [0x0F0F], 64))
+        net.send_packet(make_packet(0, 1, [0x0F0F], 64, packet_id=next(_IDS)))
         net.run_until_drained()
         assert net.stats.total_bit_transitions == popcount(0x00FF ^ 0x0F0F)
 
     def test_intra_packet_bt(self):
         net = small_net(record_ejection=False)
-        net.send_packet(make_packet(0, 1, [0b1111, 0b0000, 0b1010], 64))
+        net.send_packet(
+            make_packet(
+                0, 1, [0b1111, 0b0000, 0b1010], 64, packet_id=next(_IDS)
+            )
+        )
         net.run_until_drained()
         assert net.stats.total_bit_transitions == 4 + 2
 
     def test_bt_scales_with_hops(self):
         # The same 2-flit packet over 1 hop vs 3 hops: 3x transitions.
         one = small_net(record_ejection=False)
-        one.send_packet(make_packet(0, 1, [0xFF, 0x00], 64))
+        one.send_packet(
+            make_packet(0, 1, [0xFF, 0x00], 64, packet_id=next(_IDS))
+        )
         one.run_until_drained()
         three = small_net(record_ejection=False)
-        three.send_packet(make_packet(0, 3, [0xFF, 0x00], 64))
+        three.send_packet(
+            make_packet(0, 3, [0xFF, 0x00], 64, packet_id=next(_IDS))
+        )
         three.run_until_drained()
         assert three.stats.total_bit_transitions == (
             3 * one.stats.total_bit_transitions
@@ -144,10 +170,14 @@ class TestBTAccounting:
 
     def test_ejection_recording_adds_links(self):
         with_ej = small_net(record_ejection=True)
-        with_ej.send_packet(make_packet(0, 1, [0xFF, 0x00], 64))
+        with_ej.send_packet(
+            make_packet(0, 1, [0xFF, 0x00], 64, packet_id=next(_IDS))
+        )
         with_ej.run_until_drained()
         without = small_net(record_ejection=False)
-        without.send_packet(make_packet(0, 1, [0xFF, 0x00], 64))
+        without.send_packet(
+            make_packet(0, 1, [0xFF, 0x00], 64, packet_id=next(_IDS))
+        )
         without.run_until_drained()
         assert (
             with_ej.stats.total_bit_transitions
@@ -157,7 +187,9 @@ class TestBTAccounting:
     def test_ledger_matches_stats(self):
         net = small_net()
         for src in range(4):
-            net.send_packet(make_packet(src, 15, [src * 7, src], 64))
+            net.send_packet(
+                make_packet(src, 15, [src * 7, src], 64, packet_id=next(_IDS))
+            )
         net.run_until_drained()
         assert (
             net.ledger.total_transitions == net.stats.total_bit_transitions
@@ -165,7 +197,7 @@ class TestBTAccounting:
 
     def test_per_link_names(self):
         net = small_net(record_ejection=True)
-        net.send_packet(make_packet(0, 1, [1], 64))
+        net.send_packet(make_packet(0, 1, [1], 64, packet_id=next(_IDS)))
         net.run_until_drained()
         names = set(net.ledger.per_link())
         assert "R0.EAST" in names
@@ -180,7 +212,7 @@ class TestFlowControl:
         net = small_net()
         for src in range(8):
             net.send_packet(
-                make_packet(src, 15, [src] * 20, 64)
+                make_packet(src, 15, [src] * 20, 64, packet_id=next(_IDS))
             )
         stats = net.run_until_drained(max_cycles=20_000)
         assert stats.packets_delivered == 8
@@ -188,14 +220,18 @@ class TestFlowControl:
     def test_vc_depth_one_still_works(self):
         net = small_net(vc_depth=1)
         for src in (0, 5, 10):
-            net.send_packet(make_packet(src, 15, [1, 2, 3], 64))
+            net.send_packet(
+                make_packet(src, 15, [1, 2, 3], 64, packet_id=next(_IDS))
+            )
         stats = net.run_until_drained(max_cycles=20_000)
         assert stats.packets_delivered == 3
 
     def test_single_vc_still_works(self):
         net = small_net(n_vcs=1)
         for src in (0, 1, 2, 3):
-            net.send_packet(make_packet(src, 12, [src] * 5, 64))
+            net.send_packet(
+                make_packet(src, 12, [src] * 5, 64, packet_id=next(_IDS))
+            )
         stats = net.run_until_drained(max_cycles=20_000)
         assert stats.packets_delivered == 4
 
@@ -217,7 +253,9 @@ class TestStatsConservation:
                 data.draw(st.integers(min_value=0, max_value=2**64 - 1))
                 for _ in range(length)
             ]
-            net.send_packet(make_packet(src, dst, payloads, 64))
+            net.send_packet(
+                make_packet(src, dst, payloads, 64, packet_id=next(_IDS))
+            )
             total_flits += length
         stats = net.run_until_drained(max_cycles=60_000)
         assert stats.packets_delivered == n_packets
@@ -227,7 +265,9 @@ class TestStatsConservation:
     def test_yx_routing_also_delivers(self):
         net = small_net(routing="yx")
         for src in range(16):
-            net.send_packet(make_packet(src, 15 - src, [src], 64))
+            net.send_packet(
+                make_packet(src, 15 - src, [src], 64, packet_id=next(_IDS))
+            )
         stats = net.run_until_drained(max_cycles=20_000)
         assert stats.packets_delivered == 16
 
@@ -235,7 +275,9 @@ class TestStatsConservation:
 class TestInjectionRecording:
     def test_injection_links_counted_when_enabled(self):
         net = small_net(record_injection=True, record_ejection=False)
-        net.send_packet(make_packet(0, 1, [0xFF, 0x00], 64))
+        net.send_packet(
+            make_packet(0, 1, [0xFF, 0x00], 64, packet_id=next(_IDS))
+        )
         net.run_until_drained()
         assert "NI0.INJECT" in net.ledger.per_link()
 
@@ -245,7 +287,7 @@ class TestLinkLatency:
         fast = small_net(link_latency=1)
         slow = small_net(link_latency=3)
         for net in (fast, slow):
-            net.send_packet(make_packet(0, 15, [7], 64))
+            net.send_packet(make_packet(0, 15, [7], 64, packet_id=next(_IDS)))
             net.run_until_drained()
         assert (
             slow.nis[15].delivered[0].latency
@@ -259,7 +301,11 @@ class TestLinkLatency:
         for latency in (1, 2, 4):
             net = small_net(link_latency=latency)
             for src in range(6):
-                net.send_packet(make_packet(src, 15, [src * 3, src], 64))
+                net.send_packet(
+                    make_packet(
+                        src, 15, [src * 3, src], 64, packet_id=next(_IDS)
+                    )
+                )
             stats = net.run_until_drained(max_cycles=30_000)
             assert stats.packets_delivered == 6
 
@@ -269,7 +315,11 @@ class TestLinkLatency:
         totals = set()
         for latency in (1, 3):
             net = small_net(link_latency=latency, record_ejection=False)
-            net.send_packet(make_packet(0, 15, [0xAB, 0x12, 0xFF], 64))
+            net.send_packet(
+                make_packet(
+                    0, 15, [0xAB, 0x12, 0xFF], 64, packet_id=next(_IDS)
+                )
+            )
             stats = net.run_until_drained()
             totals.add(stats.total_bit_transitions)
         assert len(totals) == 1
@@ -285,7 +335,9 @@ class TestWestFirstRouting:
         for src in range(16):
             for dst in (0, 5, 15):
                 if src != dst:
-                    net.send_packet(make_packet(src, dst, [src], 64))
+                    net.send_packet(
+                        make_packet(src, dst, [src], 64, packet_id=next(_IDS))
+                    )
         stats = net.run_until_drained(max_cycles=40_000)
         assert stats.packets_delivered == 16 * 3 - 3
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,16 @@ from repro.noc.network import Network, NoCConfig
 from repro.noc.routing import Port
 from repro.noc.statistics import link_loads, render_heatmap, router_heatmap
 
+# Unique packet ids for hand-built test traffic.
+_IDS = itertools.count()
+
 
 def run_simple_network() -> Network:
     net = Network(NoCConfig(width=4, height=4, link_width=64))
     for src in range(8):
-        net.send_packet(make_packet(src, 15, [src * 37, src], 64))
+        net.send_packet(
+            make_packet(src, 15, [src * 37, src], 64, packet_id=next(_IDS))
+        )
     net.run_until_drained()
     return net
 
@@ -53,7 +60,7 @@ class TestLinkLoads:
         net = Network(
             NoCConfig(width=2, height=2, link_width=64, record_injection=True)
         )
-        net.send_packet(make_packet(0, 3, [1, 2], 64))
+        net.send_packet(make_packet(0, 3, [1, 2], 64, packet_id=next(_IDS)))
         net.run_until_drained()
         names = {l.name for l in link_loads(net)}
         assert all(n.startswith("R") for n in names)

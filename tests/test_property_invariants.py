@@ -8,6 +8,8 @@ packets under randomized structural configurations.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,9 @@ from repro.ordering.strategies import (
     OrderingMethod,
     apply_method,
 )
+
+# Unique packet ids for hand-built test traffic.
+_IDS = itertools.count()
 
 words = st.lists(
     st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=40
@@ -145,7 +150,9 @@ class TestNoCConservation:
             dst = int(rng.integers(0, 9))
             length = int(rng.integers(1, 6))
             payloads = [int(v) for v in rng.integers(0, 2**31, length)]
-            net.send_packet(make_packet(src, dst, payloads, 32))
+            net.send_packet(
+                make_packet(src, dst, payloads, 32, packet_id=next(_IDS))
+            )
         stats = net.run_until_drained(max_cycles=50_000)
         assert stats.packets_delivered == n_packets
 

@@ -38,6 +38,7 @@ from test_experiments_faults import (
     small_spec,
     stripped,
 )
+from test_experiments_runner import spy_on_cache
 
 
 def tiny_spec(**overrides):
@@ -128,6 +129,19 @@ class TestServedCampaign:
             server.result.records
         )
         assert "1 jobs" in summary["summary"]
+
+    def test_cold_cache_read_and_never_sized(self, tmp_path, monkeypatch):
+        consulted = spy_on_cache(monkeypatch)
+        spec = tiny_spec()
+        server = serve(spec, cache=ResultCache(tmp_path / "cache"))
+        try:
+            attach_workers(server, 1)
+            result = server.wait(timeout=60.0)
+        finally:
+            server.close()
+        assert result is not None and result.errors == 0
+        assert (result.hits, result.misses) == (0, 1)
+        assert consulted == [job.job_id for job in spec.expand()]
 
     def test_fully_cached_campaign_needs_no_workers(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

