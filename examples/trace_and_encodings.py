@@ -53,7 +53,7 @@ def main() -> None:
     sim = AcceleratorSimulator(config, model, image)
     recorder = TraceRecorder()
     result = sim.run(trace_collector=recorder)
-    trace = recorder.finish(sim.last_network.config)
+    trace = recorder.finish(config.noc_config())
 
     print(f"Captured {trace.total_flit_traversals()} flit traversals over "
           f"{len(trace.links)} links.")

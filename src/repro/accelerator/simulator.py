@@ -318,9 +318,6 @@ class AcceleratorSimulator:
         self._mc_sent_keys: dict[int, set[tuple]] = {
             pe: set() for pe in self.placement.pe_nodes
         }
-        # The most recent run's network, exposed for the perf harness
-        # (steps_executed vs stats.cycles — the fast-forward invariant).
-        self.last_network: Network | None = None
         # Codec observability: chunks encoded per path.  fallback
         # counts batch-API chunks that degraded to the per-row scalar
         # reference because the lane width has no numpy fast path.
@@ -369,7 +366,6 @@ class AcceleratorSimulator:
         """
         network = Network(self.config.noc_config())
         network.trace_collector = trace_collector
-        self.last_network = network
         records: dict[int, _TaskRecord] = {}
         pending = _PendingQueue()
         # This run numbers its own packets from 0, so packet ids (and

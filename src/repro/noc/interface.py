@@ -3,8 +3,13 @@
 Each router's LOCAL port connects to one NI, which hosts either a PE or
 a memory controller (Fig. 6).  The NI streams one packet at a time into
 the router's local input VCs (rotating across VCs per packet) and
-reassembles arriving flits into packets, handing completed packets to
-an attached sink callback.
+reassembles arriving flits into packets.  A completed packet goes to
+the attached sink callback, if any; only an NI without a sink keeps it
+in :attr:`NetworkInterface.delivered`, so a sink-driven run retains no
+packets past its sink.
+
+The injection queue, the reassembly map and the delivered list are
+built on first use: most NIs of a large mesh never send or receive.
 """
 
 from __future__ import annotations
@@ -38,19 +43,28 @@ class NetworkInterface:
         self.node_id = node_id
         self.router = router
         self.flits_per_cycle = flits_per_cycle
-        self.tx_queue: deque[Packet] = deque()
-        self.delivered: list[Packet] = []
+        self.tx_queue: deque[Packet] | None = None
         self.sink: PacketSink | None = None
         self._current: Packet | None = None
         self._next_flit = 0
         self._tx_vc = 0
         self._vc_rotor = 0
-        self._rx_flits: dict[int, list[Flit]] = {}
+        self._rx_flits: dict[int, list[Flit]] | None = None
+        self._delivered: list[Packet] | None = None
+
+    @property
+    def delivered(self) -> list[Packet]:
+        """Completed packets in delivery order, kept only without a sink."""
+        if self._delivered is None:
+            self._delivered = []
+        return self._delivered
 
     # -- injection ------------------------------------------------------
 
     def queue_packet(self, packet: Packet) -> None:
         """Enqueue a packet for injection (FIFO order)."""
+        if self.tx_queue is None:
+            self.tx_queue = deque()
         self.tx_queue.append(packet)
 
     @property
@@ -111,10 +125,13 @@ class NetworkInterface:
                 in-flight registry); required on the tail flit.
             cycle: current simulation cycle.
         """
-        self._rx_flits.setdefault(flit.packet_id, []).append(flit)
+        rx_flits = self._rx_flits
+        if rx_flits is None:
+            rx_flits = self._rx_flits = {}
+        rx_flits.setdefault(flit.packet_id, []).append(flit)
         if not flit.is_tail:
             return
-        flits = self._rx_flits.pop(flit.packet_id)
+        flits = rx_flits.pop(flit.packet_id)
         if packet is None:
             raise ValueError(
                 f"tail of packet {flit.packet_id} arrived without a "
@@ -126,6 +143,7 @@ class NetworkInterface:
                 f"{len(packet.flits)} flits"
             )
         packet.delivered_cycle = cycle
-        self.delivered.append(packet)
-        if self.sink is not None:
+        if self.sink is None:
+            self.delivered.append(packet)
+        else:
             self.sink(packet, cycle)

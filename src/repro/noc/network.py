@@ -39,6 +39,16 @@ Two cycle-loop implementations ("cores") produce bit-identical results:
 Both cores share the routers, the NIs, and :meth:`Network.transmit`
 (per-hop BT recording with per-(router, outport) recorder handles that
 are resolved once, not per hop).
+
+Construction builds no per-node containers.  The neighbour table, the
+recorder handles and the upstream credit handles are flat lists
+indexed ``node * len(Port) + port``; the table holds ints or ``None``,
+the handles start as ``None`` and bind on a link's first flit or
+credit, and routers and NIs build their own state on first use (see
+:mod:`repro.noc.router`).  An
+idle node thus costs its router and NI object only, which keeps the
+live object graph — what every full cyclic-GC pass walks — in
+proportion to the traffic, not to the mesh.
 """
 
 from __future__ import annotations
@@ -52,11 +62,11 @@ from typing import Any, Iterator, Sequence
 from repro.noc.flit import Flit, Packet
 from repro.noc.interface import NetworkInterface
 from repro.noc.recorder import LinkRecorder, TransitionLedger
-from repro.noc.router import Router
+from repro.noc.router import ProtocolError, Router
 from repro.noc.routing import OPPOSITE, Port, routing_by_name
-from repro.noc.topology import mesh_neighbors
 
 _LOCAL = Port.LOCAL
+_N_PORTS = len(Port)
 
 __all__ = [
     "NoCConfig",
@@ -180,6 +190,29 @@ class NoCConfig:
         return cls(**data)
 
 
+def _flat_neighbors(width: int, height: int) -> list[int | None]:
+    """:func:`repro.noc.topology.mesh_neighbors` as one flat list.
+
+    Entry ``node * len(Port) + port`` is the neighbour of ``node`` on
+    ``port``, or ``None`` where the mesh has no such link (LOCAL and the
+    edges).  Built by slice assignment, so it takes a fixed number of
+    Python operations whatever the mesh size.
+    """
+    n = width * height
+    p = _N_PORTS
+    row = width * p
+    table: list[int | None] = [None] * (n * p)
+    # Node k has k - width to the north, k + width to the south, and
+    # k -/+ 1 to the west/east except on the first/last column.
+    table[row + Port.NORTH::p] = range(n - width)
+    table[Port.SOUTH:(n - width) * p:p] = range(width, n)
+    table[p + Port.WEST::p] = range(n - 1)
+    table[Port.EAST:(n - 1) * p:p] = range(1, n)
+    table[Port.WEST::row] = [None] * height
+    table[row - p + Port.EAST::row] = [None] * height
+    return table
+
+
 def percentile(values: Sequence[int | float], p: float) -> float:
     """The ``p``-th percentile of ``values`` (linear interpolation).
 
@@ -290,7 +323,6 @@ class Network:
             )
             for node in range(config.n_nodes)
         ]
-        self._neighbors = mesh_neighbors(config.width, config.height)
         self.ledger = TransitionLedger()
         self.stats = NoCStats()
         self.cycle = 0
@@ -327,23 +359,19 @@ class Network:
         self._active_routers: set[int] = set()
         self._pending_nis: set[int] = set()
         # Per-hop fast paths: config scalars hoisted out of transmit(),
-        # neighbor/link-name tables indexed by (node, port value), and
-        # lazily bound per-link recorder handles so the hot path never
-        # formats a link name or hashes into the ledger dict.  Handles
-        # are bound on first traversal (not precreated) so the ledger
-        # keeps containing exactly the links that carried traffic.
+        # a neighbour table and lazily bound per-link recorder handles,
+        # both flat and indexed by node * len(Port) + port value, so the
+        # hot path never formats a link name or hashes into the ledger
+        # dict.  Handles are bound on first traversal (not precreated)
+        # so the ledger keeps containing exactly the links that carried
+        # traffic.
         self._record_ejection = config.record_ejection
         self._record_injection = config.record_injection
         self._include_header = config.include_header_bits
         self._link_latency = config.link_latency
-        n_ports = len(Port)
-        self._neighbor_of: list[list[int | None]] = [
-            [self._neighbors[node].get(port) for port in Port]
-            for node in range(config.n_nodes)
-        ]
-        self._recorders: list[list[LinkRecorder | None]] = [
-            [None] * n_ports for _ in range(config.n_nodes)
-        ]
+        n_links = config.n_nodes * _N_PORTS
+        self._neighbor_of = _flat_neighbors(config.width, config.height)
+        self._recorders: list[LinkRecorder | None] = [None] * n_links
         self._inject_recorders: list[LinkRecorder | None] = (
             [None] * config.n_nodes
         )
@@ -358,12 +386,10 @@ class Network:
             for opp in self._opposite_of
         ]
         # Per (node, in-port) handle on the upstream router's credit
-        # counters for the opposite outport: the credit return path
-        # then touches no router/dict lookups per hop.  Rows build on
-        # a node's first credit so construction stays O(1) per node.
-        self._upstream_credits: list[list[list[int] | None] | None] = (
-            [None] * config.n_nodes
-        )
+        # counters for the opposite outport, resolved on that port's
+        # first credit: the credit return path then touches no
+        # router/dict lookups per hop.
+        self._upstream_credits: list[list[int] | None] = [None] * n_links
         # Optional per-link wire-image trace (see repro.workloads.traces
         # and repro.noc.recorder.TraceRecorder): any object with
         # record(link_name, bits, cycle, vc, flit), called with five
@@ -386,6 +412,10 @@ class Network:
                     f"flit width {flit.width} != link width "
                     f"{self.config.link_width}"
                 )
+        if packet.packet_id in self._in_flight:
+            raise ValueError(
+                f"packet id {packet.packet_id} is already in flight"
+            )
         collector = self.trace_collector
         if collector is not None:
             send_hook = getattr(collector, "record_send", None)
@@ -412,14 +442,14 @@ class Network:
         # Port is an IntEnum: indexing lists with it directly avoids
         # the enum .value descriptor on the per-hop path.
         local = out_port is _LOCAL
+        link = node * _N_PORTS + out_port
         if not local or self._record_ejection:
-            recorders = self._recorders[node]
-            recorder = recorders[out_port]
+            recorder = self._recorders[link]
             if recorder is None:
                 recorder = self.ledger.recorder_for(
                     f"R{node}.{out_port.name}"
                 )
-                recorders[out_port] = recorder
+                self._recorders[link] = recorder
             # With header bits excluded (the default) the wire image is
             # exactly the payload — skip the wire_bits() call per hop.
             bits = (
@@ -443,7 +473,7 @@ class Network:
         if local:
             self._ejections.append((node, flit))
             return
-        neighbor = self._neighbor_of[node][out_port]
+        neighbor = self._neighbor_of[link]
         if neighbor is None:
             raise ValueError(
                 f"router {node} has no {out_port.name} link"
@@ -482,21 +512,18 @@ class Network:
 
     def _queue_credit(self, node: int, port_idx: int, vc_idx: int) -> None:
         """:meth:`queue_credit` by node id and port value."""
-        row = self._upstream_credits[node]
-        if row is None:
-            neighbors = self._neighbor_of[node]
-            row = [None] + [
-                None
-                if (up := neighbors[p]) is None
-                else self.routers[up].credits[self._opposite_of[p]]
-                for p in range(1, len(neighbors))
-            ]
-            self._upstream_credits[node] = row
-        credit_list = row[port_idx]
+        link = node * _N_PORTS + port_idx
+        credit_list = self._upstream_credits[link]
         if credit_list is None:
-            raise ValueError(
-                f"router {node} has no upstream on {Port(port_idx).name}"
-            )
+            upstream = self._neighbor_of[link]
+            if upstream is None:
+                raise ValueError(
+                    f"router {node} has no upstream on {Port(port_idx).name}"
+                )
+            credit_list = self.routers[upstream].credits[
+                self._opposite_of[port_idx]
+            ]
+            self._upstream_credits[link] = credit_list
         self._credits.append((credit_list, vc_idx, node, port_idx))
 
     # -- cycle loop --------------------------------------------------------
@@ -609,9 +636,9 @@ class Network:
         for credit_list, vc_idx, node, port_idx in self._credits:
             credit_list[vc_idx] += 1
             if credit_list[vc_idx] > vc_depth:
-                upstream = self._neighbor_of[node][port_idx]
+                upstream = self._neighbor_of[node * _N_PORTS + port_idx]
                 out_port = self._opposite_of[port_idx]
-                raise RuntimeError(
+                raise ProtocolError(
                     f"credit overflow at router {upstream} "
                     f"port {out_port.name}"
                 )

@@ -28,10 +28,19 @@ Two equivalent implementations of the per-cycle phases exist:
 
 Both paths share :meth:`accept_flit` / :meth:`_traverse`, which keep
 the occupancy tracking consistent, so a router works under either
-network core at any time.  Input VC buffers, arbiters and downstream
-holder state materialise on a router's first flit — mesh-scaling
-campaigns construct thousands of routers of which the quiet ones never
-buffer anything.
+network core at any time.
+
+State is built on first use, because mesh-scaling campaigns construct
+thousands of routers of which most never buffer a flit, and every
+container a router holds is one more object for each full cyclic-GC
+pass to walk.  A fresh router owns no containers at all.  Its first
+flit builds the flat slot table (all ``None``), the credit counters,
+the downstream holder table and the occupancy sets — a router always
+has sent a flit before a credit comes back to it.  A slot's
+:class:`VCState` and FIFO are built on that slot's first flit, and the
+VC and switch arbiters of an outport on its first grant.  The
+:attr:`Router.inputs` view used by the reference pair and the tests
+fills every slot, so it keeps its full 5 x ``n_vcs`` shape.
 """
 
 from __future__ import annotations
@@ -112,23 +121,23 @@ class Router:
         self.route_fn = route_fn
         # Flat slots indexed by ``port * n_vcs + vc`` — the requester
         # id used by the arbiters — with `inputs` exposing the same
-        # VCState objects per port.  Built lazily by _materialize().
-        self._slots: list[VCState] | None = None
+        # VCState objects per port.  The tables below start as None:
+        # _materialize() builds them on the router's first flit, and
+        # the `inputs` view on its first access.
+        self._slots: list[VCState | None] | None = None
         self._inputs: dict[Port, list[VCState]] | None = None
         self._out_holder: list[list[tuple[Port, int] | None]] | None = None
-        self._vc_arbiters: list[RoundRobinArbiter] | None = None
-        self._sw_arbiters: list[RoundRobinArbiter] | None = None
+        # Per-outport arbiters, each built on its outport's first grant.
+        self._vc_arbiters: list[RoundRobinArbiter | None] | None = None
+        self._sw_arbiters: list[RoundRobinArbiter | None] | None = None
         self._slot_port, self._slot_vc = _slot_tables(n_vcs)
         # Occupancy tracking for the event-core fast path: which flat
         # slots hold flits, and which of those still await a VC grant.
-        self._occupied: set[int] = set()
-        self._needs_alloc: set[int] = set()
+        self._occupied: set[int] | None = None
+        self._needs_alloc: set[int] | None = None
         # Credit counters per output port (indexed by port value; LOCAL
-        # has no credit loop).  Eager: the network wires neighbouring
-        # routers' credit lists together at construction time.
-        self.credits: list[list[int] | None] = [None] + [
-            [vc_depth] * n_vcs for _ in range(_N_PORTS - 1)
-        ]
+        # has no credit loop); see the `credits` property.
+        self._credits: list[list[int] | None] | None = None
         self.buffered_flits = 0
         # Observability counters.  Plain ints bumped on paths both
         # cycle-loop cores share (or at behaviourally identical points
@@ -142,29 +151,49 @@ class Router:
 
     # -- lazy state materialisation ------------------------------------
 
-    def _materialize(self) -> list[VCState]:
-        """Build the VC buffers and allocation state on first use."""
+    def _materialize(self) -> list[VCState | None]:
+        """Build the per-router tables on the first flit."""
         n_vcs = self.n_vcs
-        slots = [VCState(self.vc_depth) for _ in range(_N_PORTS * n_vcs)]
+        slots: list[VCState | None] = [None] * (_N_PORTS * n_vcs)
         self._slots = slots
-        self._inputs = {
-            port: slots[port * n_vcs:(port + 1) * n_vcs] for port in Port
-        }
         self._out_holder = [[None] * n_vcs for _ in range(_N_PORTS)]
-        n_slots = _N_PORTS * n_vcs
-        self._vc_arbiters = [
-            RoundRobinArbiter(n_slots) for _ in range(_N_PORTS)
-        ]
-        self._sw_arbiters = [
-            RoundRobinArbiter(n_slots) for _ in range(_N_PORTS)
+        self._vc_arbiters = [None] * _N_PORTS
+        self._sw_arbiters = [None] * _N_PORTS
+        self._occupied = set()
+        self._needs_alloc = set()
+        self._credits = [None] + [
+            [self.vc_depth] * n_vcs for _ in range(_N_PORTS - 1)
         ]
         return slots
 
+    def _arbiter(
+        self, arbiters: list[RoundRobinArbiter | None], out_port: Port
+    ) -> RoundRobinArbiter:
+        """The arbiter of ``out_port`` in ``arbiters``, built on first use."""
+        arbiter = arbiters[out_port]
+        if arbiter is None:
+            arbiter = RoundRobinArbiter(_N_PORTS * self.n_vcs)
+            arbiters[out_port] = arbiter
+        return arbiter
+
     @property
     def inputs(self) -> dict[Port, list[VCState]]:
-        """Per-port input VC states (shared objects with the flat view)."""
+        """Per-port input VC states (shared objects with the flat view).
+
+        Builds every slot's :class:`VCState`, so the view always has
+        5 x ``n_vcs`` entries.
+        """
         if self._inputs is None:
-            self._materialize()
+            slots = self._slots
+            if slots is None:
+                slots = self._materialize()
+            for flat, state in enumerate(slots):
+                if state is None:
+                    slots[flat] = VCState(self.vc_depth)
+            n_vcs = self.n_vcs
+            self._inputs = {
+                port: slots[port * n_vcs:(port + 1) * n_vcs] for port in Port
+            }
         return self._inputs
 
     @property
@@ -173,6 +202,13 @@ class Router:
         if self._out_holder is None:
             self._materialize()
         return self._out_holder
+
+    @property
+    def credits(self) -> list[list[int] | None]:
+        """Per-outport downstream credit counters (indexed by port value)."""
+        if self._credits is None:
+            self._materialize()
+        return self._credits
 
     # -- cycle phases (reference pair) ---------------------------------
 
@@ -219,7 +255,7 @@ class Router:
         flags = [False] * n_requesters
         for req in requesters:
             flags[req] = True
-        arbiter = self._vc_arbiters[out_port]
+        arbiter = self._arbiter(self._vc_arbiters, out_port)
         for out_vc in free:
             winner = arbiter.pick(flags)
             if winner is None:
@@ -265,7 +301,7 @@ class Router:
                 continue
             if n_contenders > 1:
                 self.arb_conflicts += n_contenders - 1
-            winner = self._sw_arbiters[out_port].pick(flags)
+            winner = self._arbiter(self._sw_arbiters, out_port).pick(flags)
             if winner is None:
                 continue
             self._traverse(network, winner, out_port)
@@ -320,10 +356,10 @@ class Router:
             out_port = state.out_port
             if out_port is None:
                 return
-            if out_port is not _LOCAL and self.credits[out_port][out_vc] <= 0:
+            if out_port is not _LOCAL and self._credits[out_port][out_vc] <= 0:
                 return
             # State update identical to pick_indices([flat]).
-            self._sw_arbiters[out_port]._last_winner = flat
+            self._arbiter(self._sw_arbiters, out_port)._last_winner = flat
             self._traverse(network, flat, out_port)
             return
         if needs:
@@ -353,7 +389,7 @@ class Router:
                     self._grant_vcs_fast(out_port, reqs)
         if not occupied:
             return
-        credits = self.credits
+        credits = self._credits
         sendable: dict[Port, list[int]] | None = None
         for flat in sorted(occupied):
             state = slots[flat]
@@ -379,7 +415,9 @@ class Router:
                     continue
             if len(reqs) > 1:
                 self.arb_conflicts += len(reqs) - 1
-            winner = self._sw_arbiters[out_port].pick_indices(reqs)
+            winner = self._arbiter(self._sw_arbiters, out_port).pick_indices(
+                reqs
+            )
             self._traverse(network, winner, out_port)
             in_port = slot_port[winner]
             if consumed is None:
@@ -393,7 +431,7 @@ class Router:
         free = [v for v in range(self.n_vcs) if holders[v] is None]
         if not free:
             return
-        arbiter = self._vc_arbiters[out_port]
+        arbiter = self._arbiter(self._vc_arbiters, out_port)
         needs = self._needs_alloc
         slots = self._slots
         for out_vc in free:
@@ -425,7 +463,7 @@ class Router:
             raise ProtocolError("traversal without an allocated VC")
         local = out_port is _LOCAL
         if not local:
-            port_credits = self.credits[out_port]
+            port_credits = self._credits[out_port]
             credits_left = port_credits[out_vc] - 1
             port_credits[out_vc] = credits_left
             if credits_left < 0:
@@ -458,7 +496,9 @@ class Router:
         if slots is None:
             slots = self._materialize()
         state = slots[flat]
-        if len(state.fifo) >= state.capacity:
+        if state is None:
+            state = slots[flat] = VCState(self.vc_depth)
+        elif len(state.fifo) >= state.capacity:
             raise ProtocolError(
                 f"router {self.node_id} port {self._slot_port[flat].name} "
                 f"VC {self._slot_vc[flat]}: "
@@ -475,9 +515,8 @@ class Router:
     def local_vc_space(self, vc_idx: int) -> int:
         """Free slots in the local (injection) input VC buffer."""
         slots = self._slots
-        if slots is None:
-            slots = self._materialize()
-        return slots[vc_idx].free_slots
+        state = None if slots is None else slots[vc_idx]
+        return self.vc_depth if state is None else state.free_slots
 
     @property
     def is_active(self) -> bool:

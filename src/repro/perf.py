@@ -154,9 +154,8 @@ def _run_model_points(
     metrics = _zero_metrics()
     for sim in sims:
         result = sim.run()
-        network = sim.last_network
         metrics["simulated_cycles"] += result.total_cycles
-        metrics["steps_executed"] += network.steps_executed
+        metrics["steps_executed"] += result.steps_executed
         metrics["flit_hops"] += result.flit_hops
         metrics["bit_transitions"] += result.total_bit_transitions
     return metrics

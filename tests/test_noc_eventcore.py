@@ -220,12 +220,10 @@ class TestAcceleratorEquivalence:
             **overrides,
         )
         results = {}
-        steps = {}
         for core in CORES:
             with network_core(core):
                 sim = AcceleratorSimulator(config, model, image)
                 results[core] = sim.run()
-                steps[core] = sim.last_network.steps_executed
         event, stepped = results["event"], results["stepped"]
         assert event.total_cycles == stepped.total_cycles
         assert event.total_bit_transitions == stepped.total_bit_transitions
@@ -235,8 +233,8 @@ class TestAcceleratorEquivalence:
         assert event.layers == stepped.layers
         assert event.tasks_verified == stepped.tasks_verified
         assert event.all_verified
-        assert steps["event"] <= event.total_cycles
-        assert steps["stepped"] == stepped.total_cycles
+        assert event.steps_executed <= event.total_cycles
+        assert stepped.steps_executed == stepped.total_cycles
 
 
 # Recording-side axes of the replay conformance matrix: the pipelining
@@ -296,7 +294,7 @@ class TestReplayConformanceMatrix:
             sim = AcceleratorSimulator(config, model, image)
             recorder = TraceRecorder()
             result = sim.run(trace_collector=recorder)
-            trace = recorder.finish(sim.last_network.config)
+            trace = recorder.finish(config.noc_config())
             assert (
                 trace.total_transitions() == result.total_bit_transitions
             )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from repro.bits.popcount import popcount
 from repro.noc.flit import make_packet
 from repro.noc.network import Network, NoCConfig, SimulationTimeout
+from repro.noc.router import ProtocolError
 from repro.noc.routing import Port
+from repro.noc.topology import mesh_neighbors
 
 # Unique packet ids for hand-built test traffic.
 _IDS = itertools.count()
@@ -96,11 +99,95 @@ class TestDelivery:
         with pytest.raises(ValueError):
             net.send_packet(make_packet(0, 1, [1], 32, packet_id=next(_IDS)))
 
+    def test_duplicate_in_flight_id_rejected(self):
+        net = small_net()
+        net.send_packet(make_packet(0, 15, [1], 64, packet_id=7))
+        with pytest.raises(ValueError, match="already in flight"):
+            net.send_packet(make_packet(1, 14, [2], 64, packet_id=7))
+        stats = net.run_until_drained()
+        assert stats.packets_injected == stats.packets_delivered == 1
+        assert net.nis[14].delivered == []
+
+    def test_id_reusable_after_delivery(self):
+        net = small_net()
+        net.send_packet(make_packet(0, 15, [1], 64, packet_id=7))
+        net.run_until_drained()
+        again = make_packet(1, 14, [2], 64, packet_id=7)
+        net.send_packet(again)
+        stats = net.run_until_drained()
+        assert stats.packets_delivered == 2
+        assert net.nis[14].delivered == [again]
+
     def test_timeout_raises(self):
         net = small_net()
         net.send_packet(make_packet(0, 15, [1] * 8, 64, packet_id=next(_IDS)))
         with pytest.raises(SimulationTimeout):
             net.run_until_drained(max_cycles=2)
+
+
+class TestSinkDelivery:
+    @staticmethod
+    def _traffic() -> list:
+        return [
+            make_packet(src, 5, [src, src + 1], 64, packet_id=pid)
+            for pid, src in enumerate((0, 15, 3, 12, 6, 9))
+        ]
+
+    def test_sink_gets_packets_and_ni_retains_none(self):
+        net = small_net()
+        received = []
+        net.attach_sink(5, lambda packet, cycle: received.append(packet))
+        for packet in self._traffic():
+            net.send_packet(packet)
+        net.run_until_drained()
+        assert sorted(p.packet_id for p in received) == list(range(6))
+        assert net.nis[5].delivered == []
+
+    def test_sinkless_ni_keeps_delivery_order(self):
+        with_sink, without = small_net(), small_net()
+        received = []
+        with_sink.attach_sink(5, lambda packet, cycle: received.append(packet))
+        for net in (with_sink, without):
+            for packet in self._traffic():
+                net.send_packet(packet)
+            net.run_until_drained()
+        delivered = without.nis[5].delivered
+        cycles = [p.delivered_cycle for p in delivered]
+        assert cycles == sorted(cycles)
+        assert [p.packet_id for p in delivered] == [
+            p.packet_id for p in received
+        ]
+
+
+class TestLazyState:
+    def test_idle_mesh_costs_few_tracked_objects_per_node(self):
+        config = NoCConfig(width=80, height=80)
+        gc.collect()
+        before = len(gc.get_objects())
+        net = Network(config)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert added <= 3 * config.n_nodes
+        assert len(net.routers) == config.n_nodes
+
+    @pytest.mark.parametrize(
+        "width,height", [(1, 1), (1, 5), (5, 1), (5, 3), (8, 8)]
+    )
+    def test_flat_neighbour_table_matches_mesh_neighbors(self, width, height):
+        net = small_net(width=width, height=height)
+        neighbors = mesh_neighbors(width, height)
+        assert net._neighbor_of == [
+            neighbors[node].get(port)
+            for node in range(width * height)
+            for port in Port
+        ]
+
+    def test_idle_routers_stay_unbuilt(self):
+        net = small_net()
+        net.send_packet(make_packet(0, 2, [1, 2], 64, packet_id=next(_IDS)))
+        net.run_until_drained()
+        built = [r.node_id for r in net.routers if r._slots is not None]
+        assert built == [0, 1, 2]
 
 
 class TestLatency:
@@ -225,6 +312,19 @@ class TestFlowControl:
             )
         stats = net.run_until_drained(max_cycles=20_000)
         assert stats.packets_delivered == 3
+
+    def test_credit_overflow_is_protocol_error(self):
+        # Router 1 forwards a flit its upstream never sent, so the
+        # credit it returns to router 0 overflows that counter.
+        net = small_net(width=3, height=1)
+        router = net.routers[1]
+        router.accept_flit(
+            Port.WEST, 0, make_packet(0, 2, [1], 64, packet_id=0).flits[0]
+        )
+        router.allocate()
+        router.switch_traversal(net)
+        with pytest.raises(ProtocolError, match="credit overflow at router 0"):
+            net.step()
 
     def test_single_vc_still_works(self):
         net = small_net(n_vcs=1)

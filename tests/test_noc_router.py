@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.noc.flit import Flit, FlitType
+from repro.noc.flit import Flit, FlitType, make_packet
 from repro.noc.network import Network, NoCConfig
 from repro.noc.router import ProtocolError, Router, VCState
 from repro.noc.routing import Port, xy_route
@@ -138,3 +138,36 @@ class TestTraversalViaNetwork:
         router.switch_traversal(net)
         # Only one flit may cross the east link per cycle.
         assert router.buffered_flits == 1
+
+
+class TestLazyState:
+    def test_only_used_slots_and_arbiters_are_built(self):
+        net = Network(NoCConfig(width=3, height=2, n_vcs=4, link_width=64))
+        packet = make_packet(0, 1, [1, 2, 3], 64, packet_id=0)
+        net.send_packet(packet)
+        net.run_until_drained()
+        sender, receiver = net.routers[0], net.routers[1]
+        assert [i for i, s in enumerate(sender._slots) if s is not None] == [
+            Port.LOCAL * 4
+        ]
+        assert [i for i, s in enumerate(receiver._slots) if s is not None] == [
+            Port.WEST * 4
+        ]
+        assert all(r._slots is None for r in net.routers[2:])
+        assert [a is not None for a in sender._vc_arbiters] == [
+            port is Port.EAST for port in Port
+        ]
+        assert [a is not None for a in sender._sw_arbiters] == [
+            port is Port.EAST for port in Port
+        ]
+        for router in (sender, receiver):
+            assert list(router.inputs) == list(Port)
+            states = [s for vcs in router.inputs.values() for s in vcs]
+            assert len(states) == 5 * 4
+            assert all(isinstance(s, VCState) for s in states)
+            assert all(not s.fifo for s in states)
+
+    def test_idle_router_reports_full_local_space(self):
+        router = bare_router()
+        assert router.local_vc_space(1) == 2
+        assert router._slots is None
