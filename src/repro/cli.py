@@ -1125,7 +1125,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(
         f"cache {report['root']}: {report['checked']} entr"
         f"{'y' if report['checked'] == 1 else 'ies'} checked, "
-        f"{report['ok']} ok, {report['legacy']} legacy, "
+        f"{report['ok']} ok, "
         f"{len(report['corrupt'])} corrupt"
     )
     for rel in report["corrupt"]:

@@ -79,7 +79,7 @@ class ResultCache:
         version_tag: code-version component of every key; defaults to
             :func:`code_version_tag`.  Tests override it to model a
             code change without editing source files.
-        corrupt_dropped: entries discarded due to unreadable JSON.
+        corrupt_dropped: entries quarantined as corrupt on read.
     """
 
     def __init__(
@@ -123,39 +123,43 @@ class ResultCache:
         except OSError:
             path.unlink(missing_ok=True)
 
+    def _verified(self, raw: bytes) -> dict[str, Any] | None:
+        """The record inside an entry's bytes, or None when they are
+        not a digest envelope whose ``sha256`` matches its record."""
+        try:
+            # json.loads on bytes: invalid UTF-8 raises a ValueError
+            # subclass too, so binary garbage is rejected as well.
+            doc = json.loads(raw)
+        except ValueError:
+            return None
+        if not isinstance(doc, dict):
+            return None
+        record = doc.get("record")
+        if not isinstance(record, dict) or self._record_digest(
+            record
+        ) != doc.get("sha256"):
+            return None
+        return record
+
     def get(self, key: str) -> dict[str, Any] | None:
         """The cached record, or None on miss / corrupted entry.
 
         Verify-on-read: the envelope's digest is recomputed over the
         record body every time, so corruption that keeps the JSON
         parseable still quarantines instead of serving wrong results.
-        Pre-envelope (legacy) entries are accepted as-is.
+        Anything that is not a verified envelope (truncated write,
+        disk fault, manual edit) is quarantined, so the point
+        re-simulates cleanly.
         """
         path = self._path(key)
         try:
             raw = path.read_bytes()
-        except (FileNotFoundError, OSError):
+        except OSError:
             return None
-        try:
-            # json.loads on bytes: invalid UTF-8 raises a ValueError
-            # subclass too, so binary garbage lands in quarantine.
-            doc = json.loads(raw)
-            if not isinstance(doc, dict):
-                raise ValueError("cache entry is not an object")
-        except ValueError:
-            # Unparseable entry (truncated write, disk fault, manual
-            # edit): quarantine so the point re-simulates cleanly.
+        record = self._verified(raw)
+        if record is None:
             self._quarantine(path)
-            return None
-        if "sha256" in doc and "record" in doc:
-            record = doc["record"]
-            if not isinstance(record, dict) or self._record_digest(
-                record
-            ) != doc["sha256"]:
-                self._quarantine(path)
-                return None
-            return record
-        return doc
+        return record
 
     def get_job(self, job: JobSpec) -> dict[str, Any] | None:
         return self.get(self.key_for(job))
@@ -231,51 +235,34 @@ class ResultCache:
 
     # -- integrity sweep -------------------------------------------------
 
-    def _entry_status(self, path: pathlib.Path) -> str:
-        """"ok", "legacy" (pre-envelope), or "corrupt" for one entry."""
-        try:
-            doc = json.loads(path.read_bytes())
-            if not isinstance(doc, dict):
-                raise ValueError("cache entry is not an object")
-        except (ValueError, OSError):
-            return "corrupt"
-        if "sha256" in doc and "record" in doc:
-            record = doc["record"]
-            if not isinstance(record, dict) or self._record_digest(
-                record
-            ) != doc["sha256"]:
-                return "corrupt"
-            return "ok"
-        return "legacy"
-
     def verify(self, quarantine: bool = True) -> dict[str, Any]:
         """Re-check every entry's digest envelope; returns a report.
 
         The operational sweep behind ``repro cache verify`` — with the
         cache root shared between workers, disk faults or torn copies
         must surface before they cost a campaign wrong results.  The
-        report maps ``checked`` / ``ok`` / ``legacy`` counts plus the
-        relative paths found ``corrupt`` (quarantined in place unless
+        report maps ``checked`` / ``ok`` counts plus the relative
+        paths found ``corrupt`` (quarantined in place unless
         ``quarantine=False``) and everything already ``quarantined``.
         """
         report: dict[str, Any] = {
             "root": str(self.root),
             "checked": 0,
             "ok": 0,
-            "legacy": 0,
             "corrupt": [],
         }
         for path in sorted(self.root.glob("*/*.json")):
             report["checked"] += 1
-            status = self._entry_status(path)
-            if status == "corrupt":
-                report["corrupt"].append(
-                    str(path.relative_to(self.root))
-                )
-                if quarantine:
-                    self._quarantine(path)
-            else:
-                report[status] += 1
+            try:
+                ok = self._verified(path.read_bytes()) is not None
+            except OSError:
+                ok = False
+            if ok:
+                report["ok"] += 1
+                continue
+            report["corrupt"].append(str(path.relative_to(self.root)))
+            if quarantine:
+                self._quarantine(path)
         report["quarantined"] = self.quarantined()
         return report
 

@@ -1,53 +1,61 @@
-"""Campaign execution: fault-tolerant worker pool, cache, journal.
+"""Campaign execution: one ledger, three engines.
 
-The :class:`CampaignRunner` takes a sweep (or an explicit job list),
-serves every already-simulated point from the
-:class:`~repro.experiments.cache.ResultCache` (and, on resume, from
-the :class:`~repro.experiments.store.CampaignJournal`), and executes
-the misses across worker processes.  Execution dispatches through the
-job-kind registry (:mod:`repro.experiments.kinds`), so model, batch,
-synthetic, and replay jobs — and any kind registered later — share one
-runner.  Job records are fully deterministic (no timestamps, no host
-state), so a sweep executed with one worker is byte-identical to the
-same sweep executed with eight — the property the cache, the journal,
-and the chaos regression tests rely on.
+A campaign is an expanded job list plus the bookkeeping that turns
+its job records into a :class:`CampaignResult`.  That bookkeeping
+lives here once, in ``_Ledger``, and every engine shares it:
 
-Resilience model
-----------------
+* **open** — refuse a journal written for a different spec
+  (:class:`SpecDriftError`), start or resume the
+  :class:`~repro.experiments.store.CampaignJournal`, and triage the
+  grid into journal-resumed jobs, hits in the
+  :class:`~repro.experiments.cache.ResultCache`, and jobs to run;
+* **settle** — decide from one attempt's record whether the job
+  retries or is final.  Failures classified transient
+  (:func:`~repro.experiments.faults.classify_error` plus the kind's
+  own ``transient_errors``; the engines' synthetic ``timeout``,
+  ``worker_crash`` and ``lease_expired`` records included) retry up
+  to ``max_retries`` times; a job that exhausts them is quarantined;
+  deterministic failures are final at once.  A final ok record is
+  journaled the moment it lands — the crash-safety contract — and
+  cached;
+* **finish** — assemble the records in grid order, aggregate the
+  metrics, write the store, and journal the ``end`` entry (or a
+  ``checkpoint`` when interrupted).
 
-Fresh jobs run under a supervisor that owns one child process per
-in-flight job (``workers`` slots), collecting results asynchronously:
+The engines only move jobs and choose when a retry runs:
 
-* **Timeouts** — a job past ``job_timeout`` wall-clock seconds is
-  killed and captured as a ``JobTimeout`` failure; the hung worker
-  never blocks the rest of the campaign.
-* **Worker crashes** — a child that dies without returning a result
-  (``os._exit``, SIGKILL, OOM) is captured as a ``WorkerCrash``
-  failure; the supervisor just launches the next job.
-* **Retry with backoff** — failures classified transient
-  (:func:`~repro.experiments.faults.classify_error`; timeouts and
-  crashes included) are retried up to ``max_retries`` times after a
-  seeded exponential backoff.  Deterministic failures are permanent
-  and fail fast.
-* **Quarantine** — a job that exhausts its retries on transient-class
-  failures is quarantined: recorded as failed, listed in the failure
-  report, never allowed to take the campaign down.
-* **Graceful degradation** — a campaign always completes (or
-  checkpoints on SIGINT) with partial results plus a structured
-  :meth:`CampaignResult.failure_report`; ``run`` does not raise for
-  job failures of any class.
+* the inline loop (``workers=1``, no timeout or fault plan) calls
+  :func:`execute_job` in-process and sleeps the seeded backoff between
+  attempts;
+* ``_Supervisor`` forks one child per attempt into ``workers`` slots.
+  A child past ``job_timeout`` is killed (a ``JobTimeout`` record), a
+  child that dies without a result (``os._exit``, SIGKILL, OOM) is a
+  ``WorkerCrash``, and a retry sits out its seeded backoff while other
+  jobs run;
+* :class:`~repro.service.server.SweepServer` leases jobs to socket
+  workers, turns a lapsed lease into a ``LeaseExpired`` record, and
+  re-queues a retry at the back of its queue.
 
-A failed job is captured as a ``status="error"`` record with its
+Execution dispatches through the job-kind registry
+(:mod:`repro.experiments.kinds`), so every kind shares the engines.
+Job records are fully deterministic (no timestamps, no host state),
+so a sweep run inline, on eight workers, or served over sockets gives
+byte-identical records — the property the cache, the journal, and the
+chaos regression tests rely on.  ``run`` never raises for job
+failures: a campaign always completes (or checkpoints on SIGINT) with
+partial results and a structured :meth:`CampaignResult.
+failure_report`.  A failed job is a ``status="error"`` record with its
 error class and attempt count; it is *not* cached (so the point
-retries on the next run) and still lands in the result store for
-inspection.  Injected faults (:mod:`repro.experiments.faults`) ride
-the job payload into the worker, so every one of these features is
-tested against the real multiprocessing path it defends.
+retries on the next run) and still lands in the result store.
+Injected faults (:mod:`repro.experiments.faults`) ride the job payload
+into the worker, so every resilience feature is tested against the
+real multiprocessing path it defends.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import heapq
 import multiprocessing
 import os
@@ -78,6 +86,7 @@ from repro.obs.metrics import (
 
 __all__ = [
     "execute_job",
+    "failure_record",
     "CampaignResult",
     "CampaignRunner",
     "SpecDriftError",
@@ -161,19 +170,41 @@ def execute_job(payload: dict[str, Any]) -> dict[str, Any]:
             job_id = JobSpec.from_dict(payload).job_id
         except Exception:
             job_id = "?"
-        return {
-            "job_id": job_id,
-            "kind": payload.get("kind", "model"),
-            "model": payload.get("model", "?"),
-            "model_seed": payload.get("model_seed"),
-            "image_seed": payload.get("image_seed"),
-            "n_images": payload.get("n_images"),
-            "config": payload.get("config", {}),
-            "status": "error",
-            "result": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
+        record = failure_record(
+            payload, job_id, f"{type(exc).__name__}: {exc}"
+        )
+        record["traceback"] = traceback.format_exc()
+        return record
+
+
+def failure_record(
+    payload: dict[str, Any],
+    job_id: str,
+    error: str,
+    error_class: str | None = None,
+) -> dict[str, Any]:
+    """The error record every engine builds for a failed attempt.
+
+    ``error`` is a ``"Type: message"`` string.  Engines that observe
+    a failure no worker could report (a timeout, a crash, a lapsed
+    lease) name its ``error_class``; without one the class is derived
+    from ``error`` when the record settles.
+    """
+    record = {
+        "job_id": job_id,
+        "kind": payload.get("kind", "model"),
+        "model": payload.get("model", "?"),
+        "model_seed": payload.get("model_seed"),
+        "image_seed": payload.get("image_seed"),
+        "n_images": payload.get("n_images"),
+        "config": payload.get("config", {}),
+        "status": "error",
+        "result": None,
+        "error": error,
+    }
+    if error_class is not None:
+        record["error_class"] = error_class
+    return record
 
 
 def _worker_main(conn, payload: dict[str, Any]) -> None:
@@ -198,30 +229,8 @@ class _Task:
 
     index: int
     job_id: str
-    kind: str
     payload: dict[str, Any]
     attempt: int = 1
-
-
-def _failure_record(
-    task: _Task, error: str, error_class: str
-) -> dict[str, Any]:
-    """Synthetic error record for failures with no worker to report
-    them (timeouts, crashes) — same shape as execute_job's."""
-    payload = task.payload
-    return {
-        "job_id": task.job_id,
-        "kind": payload.get("kind", "model"),
-        "model": payload.get("model", "?"),
-        "model_seed": payload.get("model_seed"),
-        "image_seed": payload.get("image_seed"),
-        "n_images": payload.get("n_images"),
-        "config": payload.get("config", {}),
-        "status": "error",
-        "result": None,
-        "error": error,
-        "error_class": error_class,
-    }
 
 
 def _kind_transients(kind_name: str) -> tuple[str, ...]:
@@ -345,6 +354,241 @@ class CampaignResult:
         }
 
 
+class _Ledger:
+    """One campaign's bookkeeping, shared by every engine.
+
+    An engine calls :meth:`open` once, :meth:`settle` once per
+    finished attempt, and :meth:`finish` once; it never touches the
+    cache, journal, or store itself.  Not thread-safe: the sweep
+    server calls it under its own lock.
+
+    Attributes:
+        records: grid index -> landed record (resumed, cached, or
+            final fresh); a job with no entry has not finished.
+        cached / resumed: grid indices served by the cache / journal.
+        retries / timeouts / worker_crashes / quarantined: the
+            resilience counters :meth:`finish` reports; engines count
+            their own timeouts and crashes here.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        jobs: list[JobSpec],
+        cache: ResultCache | None,
+        store: ResultStore | None,
+        journal: CampaignJournal | None,
+        max_retries: int,
+    ) -> None:
+        self.name = name
+        self.jobs = jobs
+        self.cache = cache
+        self.store = store
+        self.journal = journal
+        self.max_retries = max_retries
+        self.records: dict[int, dict[str, Any]] = {}
+        self.cached: set[int] = set()
+        self.resumed: set[int] = set()
+        self.retries = 0
+        self.timeouts = 0
+        self.worker_crashes = 0
+        self.quarantined: list[str] = []
+        self.started = 0.0
+        self._corrupt_before = 0
+
+    def open(self, spec: SweepSpec | None) -> list[int]:
+        """Start or resume the journal and triage the grid.
+
+        Returns the grid indices still to run.  Raises
+        :class:`SpecDriftError` when the journal records a different
+        campaign than ``spec`` derives.
+        """
+        self.started = time.perf_counter()
+        # ``is not None``, never truthiness: ResultCache.__len__ globs
+        # the cache directory, and an empty cache must still be read.
+        if self.cache is not None:
+            self._corrupt_before = self.cache.corrupt_dropped
+        journal_done: dict[str, dict[str, Any]] = {}
+        if self.journal is not None:
+            if self.journal.exists():
+                self.journal.recover()
+                if spec is not None:
+                    self._check_spec_drift(spec)
+                journal_done = self.journal.completed()
+                self.journal.append({"event": "resume"})
+            else:
+                self.journal.start(
+                    campaign_id(spec) if spec is not None else self.name,
+                    self.name,
+                    spec.to_dict() if spec is not None else None,
+                    str(self.store.path) if self.store else None,
+                )
+        todo: list[int] = []
+        for index, job in enumerate(self.jobs):
+            record = journal_done.get(job.job_id)
+            if record is not None:
+                self.resumed.add(index)
+            elif self.cache is not None and (
+                record := self.cache.get_job(job)
+            ) is not None:
+                self.cached.add(index)
+            else:
+                todo.append(index)
+                continue
+            self.records[index] = record
+        return todo
+
+    def _check_spec_drift(self, spec: SweepSpec) -> None:
+        """Refuse to resume a journal for a different campaign."""
+        assert self.journal is not None
+        entry = self.journal.start_entry() or {}
+        journaled = entry.get("campaign_id")
+        expected = campaign_id(spec)
+        if journaled is not None and journaled != expected:
+            raise SpecDriftError(
+                f"journal {self.journal.path} records campaign "
+                f"{journaled!r} ({entry.get('campaign')!r}), but this "
+                f"spec derives {expected!r} ({spec.name!r}); the grid, "
+                f"seed, or name has drifted since the journal was "
+                f"written — resume with the original spec, or start a "
+                f"fresh campaign (delete the journal)"
+            )
+
+    def settle(
+        self, index: int, record: dict[str, Any], attempt: int
+    ) -> dict[str, Any] | None:
+        """Land job ``index``'s record, or return None to retry it.
+
+        A transient-class failure on ``attempt <= max_retries`` counts
+        a retry and returns None; the engine decides when the next
+        attempt runs.  Otherwise the record is final: an error gains
+        ``error_class``, ``attempts`` and ``quarantined`` (true for a
+        transient class that ran out of retries); an ok record is
+        journaled in its store form and cached.  Returns the final
+        record.
+        """
+        job = self.jobs[index]
+        if record.get("status") == "ok":
+            if self.journal is not None:
+                self.journal.record_job(
+                    {**record, "cached": False, "campaign": self.name}
+                )
+            if self.cache is not None:
+                self.cache.put_job(job, record)
+        else:
+            error_class = record.get("error_class") or classify_error(
+                record.get("error"), _kind_transients(job.kind)
+            )
+            if error_class != "permanent" and attempt <= self.max_retries:
+                self.retries += 1
+                return None
+            record = {
+                **record,
+                "error_class": error_class,
+                "attempts": attempt,
+                "quarantined": error_class != "permanent",
+            }
+            if record["quarantined"]:
+                self.quarantined.append(job.job_id)
+        self.records[index] = record
+        return record
+
+    def finish(
+        self, interrupted: bool, workers: int, extras: dict[str, Any]
+    ) -> CampaignResult:
+        """Assemble the result in grid order, then write store/journal.
+
+        ``extras`` are the engine's own metrics, merged over the
+        record snapshots and the shared ``cache.*``/``runner.*``
+        counters.
+        """
+        out = CampaignResult(
+            name=self.name,
+            hits=len(self.cached),
+            misses=len(self.jobs) - len(self.cached) - len(self.resumed),
+            workers=workers,
+            resumed=len(self.resumed),
+            retries=self.retries,
+            timeouts=self.timeouts,
+            worker_crashes=self.worker_crashes,
+            quarantined=list(self.quarantined),
+            interrupted=interrupted,
+        )
+        for index, job in enumerate(self.jobs):
+            if index not in self.records:
+                out.remaining.append(job.job_id)
+                continue
+            record = dict(self.records[index])
+            record["cached"] = index in self.cached
+            record["campaign"] = self.name
+            if index in self.resumed:
+                record["resumed"] = True
+            elif not record["cached"] and record.get("status") == "error":
+                out.errors += 1
+                out.failures.append(
+                    {
+                        "job_id": record.get("job_id"),
+                        "kind": record.get("kind", "model"),
+                        "label": job.label(),
+                        "error": record.get("error"),
+                        "error_class": record.get(
+                            "error_class", "permanent"
+                        ),
+                        "attempts": record.get("attempts", 1),
+                        "quarantined": record.get("quarantined", False),
+                    }
+                )
+            out.records.append(record)
+        out.elapsed_seconds = time.perf_counter() - self.started
+        out.metrics = self._aggregate_metrics(out, extras)
+        if self.store is not None:
+            self.store.extend(out.records)
+        if self.journal is not None:
+            event = "checkpoint" if interrupted else "end"
+            self.journal.append(
+                {"event": event, "report": out.failure_report()}
+            )
+        return out
+
+    def _aggregate_metrics(
+        self, out: CampaignResult, extras: dict[str, Any]
+    ) -> dict[str, Any]:
+        """Campaign-wide metrics: record snapshots + engine counters.
+
+        Cached records contribute too — their stored metrics describe
+        the same deterministic simulations, so a fully-cached campaign
+        reports the same simulator counter families as a cold one.
+        """
+        metrics: dict[str, Any] = {}
+        for record in out.records:
+            result = record.get("result") or {}
+            snapshot = result.get("metrics")
+            if snapshot:
+                merge_metrics(metrics, snapshot)
+        corrupt = (
+            self.cache.corrupt_dropped - self._corrupt_before
+            if self.cache is not None
+            else 0
+        )
+        merge_metrics(
+            metrics,
+            {
+                "cache.hits": out.hits,
+                "cache.misses": out.misses,
+                "cache.errors": out.errors,
+                "cache.corrupt_entries": corrupt,
+                "runner.jobs": out.n_jobs,
+                "runner.resumed": out.resumed,
+                "runner.retries": out.retries,
+                "runner.timeouts": out.timeouts,
+                "runner.worker_crashes": out.worker_crashes,
+                "runner.quarantined": len(out.quarantined),
+                **extras,
+            },
+        )
+        return metrics
+
+
 class _Supervisor:
     """Async result collection over one-child-per-in-flight-job.
 
@@ -358,82 +602,55 @@ class _Supervisor:
     bench regression gate).
     """
 
-    def __init__(self, runner: "CampaignRunner") -> None:
+    def __init__(self, runner: "CampaignRunner", ledger: _Ledger) -> None:
         self.runner = runner
-        self.retries = 0
-        self.timeouts = 0
-        self.worker_crashes = 0
-        self.quarantined: list[str] = []
-        self.interrupted = False
+        self.ledger = ledger
 
     def run(
         self,
-        tasks: list[_Task],
-        on_final: Callable[[int, dict[str, Any], int], None],
-    ) -> dict[int, dict[str, Any]]:
-        """Run every task to a final record; returns index -> record.
+        todo: list[int],
+        on_final: Callable[[dict[str, Any], int], None],
+    ) -> bool:
+        """Run every job to a final record; returns True if interrupted.
 
-        ``on_final(index, record, attempts)`` fires once per job as its
-        outcome settles (ok, or error after retries), in completion
-        order.  On KeyboardInterrupt the in-flight children are killed
-        and the partial result map is returned with ``interrupted``
-        set.
+        ``on_final(record, running)`` fires once per job as its
+        outcome settles, in completion order, with the number of jobs
+        still in flight.  On KeyboardInterrupt the in-flight children
+        are killed and the unfinished jobs stay unsettled.
         """
         runner = self.runner
+        jobs = self.ledger.jobs
         ctx = multiprocessing.get_context()
-        results: dict[int, dict[str, Any]] = {}
-        pending: deque[_Task] = deque(tasks)
+        pending: deque[_Task] = deque(
+            _Task(index, jobs[index].job_id, jobs[index].to_dict())
+            for index in todo
+        )
         waiting: list[tuple[float, int, _Task]] = []  # backoff heap
         running: dict[Any, tuple[_Task, Any, float | None]] = {}
         seq = 0
 
-        def finalize(task: _Task, record: dict[str, Any]) -> None:
-            results[task.index] = record
-            on_final(task.index, record, task.attempt)
-
         def settle(task: _Task, record: dict[str, Any]) -> None:
             nonlocal seq
-            if record.get("status") == "ok":
-                finalize(task, record)
+            final = self.ledger.settle(task.index, record, task.attempt)
+            if final is not None:
+                on_final(final, len(running))
                 return
-            error_class = record.get("error_class") or classify_error(
-                record.get("error"), _kind_transients(task.kind)
+            delay = backoff_seconds(
+                runner.backoff_seed,
+                task.job_id,
+                task.attempt,
+                runner.backoff_base,
+                runner.backoff_cap,
             )
-            if (
-                error_class != "permanent"
-                and task.attempt <= runner.max_retries
-            ):
-                self.retries += 1
-                delay = backoff_seconds(
-                    runner.backoff_seed,
-                    task.job_id,
-                    task.attempt,
-                    runner.backoff_base,
-                    runner.backoff_cap,
-                )
-                seq += 1
-                heapq.heappush(
-                    waiting,
-                    (
-                        time.monotonic() + delay,
-                        seq,
-                        _Task(
-                            task.index,
-                            task.job_id,
-                            task.kind,
-                            task.payload,
-                            task.attempt + 1,
-                        ),
-                    ),
-                )
-                return
-            record = dict(record)
-            record["error_class"] = error_class
-            record["attempts"] = task.attempt
-            record["quarantined"] = error_class != "permanent"
-            if record["quarantined"]:
-                self.quarantined.append(task.job_id)
-            finalize(task, record)
+            seq += 1
+            heapq.heappush(
+                waiting,
+                (
+                    time.monotonic() + delay,
+                    seq,
+                    dataclasses.replace(task, attempt=task.attempt + 1),
+                ),
+            )
 
         try:
             while pending or waiting or running:
@@ -456,11 +673,11 @@ class _Supervisor:
                     settle(task, self._collect(conn, proc, task))
                 self._reap_timeouts(running, settle)
         except KeyboardInterrupt:
-            self.interrupted = True
             for conn, (task, proc, _) in list(running.items()):
                 self._kill(proc)
                 conn.close()
-        return results
+            return True
+        return False
 
     # -- internals -------------------------------------------------------
 
@@ -514,9 +731,10 @@ class _Supervisor:
         proc.join(timeout=5.0)
         if isinstance(record, dict):
             return record
-        self.worker_crashes += 1
-        return _failure_record(
-            task,
+        self.ledger.worker_crashes += 1
+        return failure_record(
+            task.payload,
+            task.job_id,
             f"WorkerCrash: worker exited with code {proc.exitcode} "
             f"before returning a result (attempt {task.attempt})",
             "worker_crash",
@@ -533,11 +751,12 @@ class _Supervisor:
             task, proc, _ = running.pop(conn)
             self._kill(proc)
             conn.close()
-            self.timeouts += 1
+            self.ledger.timeouts += 1
             settle(
                 task,
-                _failure_record(
-                    task,
+                failure_record(
+                    task.payload,
+                    task.job_id,
                     f"JobTimeout: exceeded the "
                     f"{self.runner.job_timeout:g}s wall-clock budget "
                     f"(attempt {task.attempt})",
@@ -616,11 +835,12 @@ class CampaignRunner:
         the cache or which worker finished first.  ``telemetry``, if
         given, receives one sample dict per *freshly executed* job as
         its final outcome settles (keys: ``job_id``, ``status``,
-        ``done``, ``total``, ``cached``, ``failed``, ``running``,
-        ``elapsed_seconds``, ``eta_seconds``) — the live feed behind
-        ``repro sweep --progress``.  ``progress`` keeps its historical
-        meaning: one formatted line per record, in grid order, after
-        execution finishes.
+        ``done``, ``total``, ``cached``, ``failed``, ``running`` — the
+        jobs still in flight at that moment — ``elapsed_seconds``,
+        ``eta_seconds``) — the live feed behind ``repro sweep
+        --progress``.  ``progress`` keeps its historical meaning: one
+        formatted line per record, in grid order, after execution
+        finishes.
 
         Job failures of any class never raise: the campaign completes
         with partial results and a structured
@@ -648,63 +868,23 @@ class CampaignRunner:
         else:
             name = "jobs"
             jobs = list(sweep)
-        started = time.perf_counter()
-        # ``is not None``, never truthiness: ResultCache.__len__ globs
-        # the cache directory, and an empty cache must still be read.
-        corrupt_before = (
-            self.cache.corrupt_dropped if self.cache is not None else 0
+        ledger = _Ledger(
+            name, jobs, self.cache, self.store, self.journal,
+            self.max_retries,
         )
-
-        journal_done: dict[str, dict[str, Any]] = {}
-        if self.journal is not None:
-            if self.journal.exists():
-                self.journal.recover()
-                if spec is not None:
-                    self._check_spec_drift(spec)
-                journal_done = self.journal.completed()
-                self.journal.append({"event": "resume"})
-            else:
-                self.journal.start(
-                    campaign_id(spec) if spec is not None else name,
-                    name,
-                    spec.to_dict() if spec is not None else None,
-                    str(self.store.path) if self.store else None,
-                )
-
-        resumed: dict[int, dict[str, Any]] = {}
-        cached: dict[int, dict[str, Any]] = {}
-        todo: list[tuple[int, JobSpec]] = []
-        for index, job in enumerate(jobs):
-            journaled = journal_done.get(job.job_id)
-            if journaled is not None:
-                resumed[index] = journaled
-                continue
-            record = (
-                self.cache.get_job(job) if self.cache is not None else None
-            )
-            if record is not None:
-                cached[index] = record
-            else:
-                todo.append((index, job))
-
+        todo = ledger.open(spec)
         n_fresh = len(todo)
-        n_served = len(cached) + len(resumed)
+        n_served = len(ledger.records)
         done = failed = 0
 
-        def on_result(record: dict[str, Any], attempts: int = 1) -> None:
+        def on_final(record: dict[str, Any], running: int) -> None:
             nonlocal done, failed
             done += 1
             if record.get("status") == "error":
                 failed += 1
-            elif self.journal is not None:
-                # Journal completions the moment they happen — the
-                # crash-safety contract — in their final store form.
-                self.journal.record_job(
-                    {**record, "cached": False, "campaign": name}
-                )
             if telemetry is None:
                 return
-            elapsed = time.perf_counter() - started
+            elapsed = time.perf_counter() - ledger.started
             telemetry(
                 {
                     "job_id": record.get("job_id"),
@@ -713,7 +893,7 @@ class CampaignRunner:
                     "total": n_fresh,
                     "cached": n_served,
                     "failed": failed,
-                    "running": min(self.workers, n_fresh - done),
+                    "running": running,
                     "elapsed_seconds": elapsed,
                     "eta_seconds": (
                         elapsed / done * (n_fresh - done) if done else None
@@ -721,208 +901,70 @@ class CampaignRunner:
                 }
             )
 
-        out = CampaignResult(
-            name=name,
-            hits=len(cached),
-            misses=len(todo),
-            workers=self.workers,
-            resumed=len(resumed),
+        interrupted = False
+        if todo:
+            supervised = (
+                self.workers > 1
+                or self.job_timeout is not None
+                or self.fault_plan is not None
+            )
+            if supervised:
+                interrupted = _Supervisor(self, ledger).run(todo, on_final)
+            else:
+                interrupted = self._execute_inline(ledger, todo, on_final)
+        out = ledger.finish(
+            interrupted,
+            self.workers,
+            {"runner.workers.peak": min(self.workers, n_fresh)},
         )
-        fresh = self._execute(todo, on_result, out)
-
-        by_index: dict[int, dict[str, Any]] = dict(cached)
-        by_index.update(fresh)
-        job_by_index = {index: job for index, job in todo}
-        for index, record in fresh.items():
-            if self.cache is not None and record.get("status") == "ok":
-                self.cache.put_job(job_by_index[index], record)
-        for index, record in resumed.items():
-            by_index[index] = record
-        for index in range(len(jobs)):
-            if index not in by_index:
-                out.remaining.append(jobs[index].job_id)
-                continue
-            record = dict(by_index[index])
-            record["cached"] = index in cached
-            record["campaign"] = name
-            if index in resumed:
-                record["resumed"] = True
-            if record.get("status") == "error" and index in fresh:
-                out.errors += 1
-                out.failures.append(
-                    {
-                        "job_id": record.get("job_id"),
-                        "kind": record.get("kind", "model"),
-                        "label": jobs[index].label(),
-                        "error": record.get("error"),
-                        "error_class": record.get(
-                            "error_class", "permanent"
-                        ),
-                        "attempts": record.get("attempts", 1),
-                        "quarantined": record.get("quarantined", False),
-                    }
-                )
-            out.records.append(record)
-            if progress is not None:
+        if progress is not None:
+            for record in out.records:
                 progress(_progress_line(record))
-        out.elapsed_seconds = time.perf_counter() - started
-        corrupt_delta = (
-            self.cache.corrupt_dropped - corrupt_before
-            if self.cache is not None
-            else 0
-        )
-        out.metrics = self._aggregate_metrics(out, corrupt_delta)
         registry = active_registry()
         if registry is not None:
             registry.merge(out.metrics)
-        if self.store is not None:
-            self.store.extend(out.records)
-        if self.journal is not None:
-            event = "checkpoint" if out.interrupted else "end"
-            self.journal.append(
-                {"event": event, "report": out.failure_report()}
-            )
         return out
-
-    def _check_spec_drift(self, spec: SweepSpec) -> None:
-        """Refuse to resume a journal for a different campaign."""
-        assert self.journal is not None
-        entry = self.journal.start_entry() or {}
-        journaled = entry.get("campaign_id")
-        expected = campaign_id(spec)
-        if journaled is not None and journaled != expected:
-            raise SpecDriftError(
-                f"journal {self.journal.path} records campaign "
-                f"{journaled!r} ({entry.get('campaign')!r}), but this "
-                f"spec derives {expected!r} ({spec.name!r}); the grid, "
-                f"seed, or name has drifted since the journal was "
-                f"written — resume with the original spec, or start a "
-                f"fresh campaign (delete the journal or change "
-                f"--journal)"
-            )
-
-    def _aggregate_metrics(
-        self, out: CampaignResult, cache_corrupt: int = 0
-    ) -> dict[str, Any]:
-        """Campaign-wide metrics: record snapshots + runner counters.
-
-        Cached records contribute too — their stored metrics describe
-        the same deterministic simulations, so a fully-cached campaign
-        reports the same simulator counter families as a cold one.
-        """
-        metrics: dict[str, Any] = {}
-        for record in out.records:
-            result = record.get("result") or {}
-            snapshot = result.get("metrics")
-            if snapshot:
-                merge_metrics(metrics, snapshot)
-        merge_metrics(
-            metrics,
-            {
-                "cache.hits": out.hits,
-                "cache.misses": out.misses,
-                "cache.errors": out.errors,
-                "cache.corrupt_entries": cache_corrupt,
-                "runner.jobs": out.n_jobs,
-                "runner.workers.peak": min(self.workers, out.misses),
-                "runner.resumed": out.resumed,
-                "runner.retries": out.retries,
-                "runner.timeouts": out.timeouts,
-                "runner.worker_crashes": out.worker_crashes,
-                "runner.quarantined": len(out.quarantined),
-            },
-        )
-        return metrics
-
-    def _execute(
-        self,
-        todo: list[tuple[int, JobSpec]],
-        on_result: Callable[[dict[str, Any], int], None],
-        out: CampaignResult,
-    ) -> dict[int, dict[str, Any]]:
-        """Execute the cache misses; returns index -> final record."""
-        if not todo:
-            return {}
-        tasks = [
-            _Task(index, job.job_id, job.kind, job.to_dict())
-            for index, job in todo
-        ]
-        supervised = (
-            self.workers > 1
-            or self.job_timeout is not None
-            or self.fault_plan is not None
-        )
-        if supervised:
-            supervisor = _Supervisor(self)
-            results = supervisor.run(
-                tasks,
-                lambda index, record, attempts: on_result(
-                    record, attempts
-                ),
-            )
-            out.retries = supervisor.retries
-            out.timeouts = supervisor.timeouts
-            out.worker_crashes = supervisor.worker_crashes
-            out.quarantined = supervisor.quarantined
-            out.interrupted = supervisor.interrupted
-            return results
-        return self._execute_inline(tasks, on_result, out)
 
     def _execute_inline(
         self,
-        tasks: list[_Task],
-        on_result: Callable[[dict[str, Any], int], None],
-        out: CampaignResult,
-    ) -> dict[int, dict[str, Any]]:
+        ledger: _Ledger,
+        todo: list[int],
+        on_final: Callable[[dict[str, Any], int], None],
+    ) -> bool:
         """Single-process path: no subprocesses, so no kill/hang
-        defence — but the same retry/backoff/classification policy.
+        defence — but the same settle policy.  Returns True when
+        interrupted.
 
         Suspends any active registry around in-process execution: the
         runner's single post-run aggregation is the one publication
         path, matching supervised workers (whose processes never
         publish into the parent's registry).
         """
-        results: dict[int, dict[str, Any]] = {}
         try:
             with metrics_suspended():
-                for task in tasks:
-                    while True:
-                        record = execute_job(task.payload)
-                        if record.get("status") == "ok":
-                            break
-                        error_class = classify_error(
-                            record.get("error"),
-                            _kind_transients(task.kind),
+                for index in todo:
+                    job = ledger.jobs[index]
+                    payload = job.to_dict()
+                    attempt = 1
+                    while (
+                        final := ledger.settle(
+                            index, execute_job(payload), attempt
                         )
-                        if (
-                            error_class == "permanent"
-                            or task.attempt > self.max_retries
-                        ):
-                            record = dict(record)
-                            record["error_class"] = error_class
-                            record["attempts"] = task.attempt
-                            record["quarantined"] = (
-                                error_class != "permanent"
-                            )
-                            if record["quarantined"]:
-                                out.quarantined.append(task.job_id)
-                            break
-                        out.retries += 1
+                    ) is None:
                         time.sleep(
                             backoff_seconds(
                                 self.backoff_seed,
-                                task.job_id,
-                                task.attempt,
+                                job.job_id,
+                                attempt,
                                 self.backoff_base,
                                 self.backoff_cap,
                             )
                         )
-                        task.attempt += 1
-                    results[task.index] = record
-                    on_result(record, task.attempt)
+                        attempt += 1
+                    on_final(final, 0)
         except KeyboardInterrupt:
-            out.interrupted = True
-        return results
+            return True
+        return False
 
 
 def _progress_line(record: dict[str, Any]) -> str:

@@ -1,30 +1,33 @@
 """The sweep job server: lease-based queue over a campaign journal.
 
-A :class:`SweepServer` owns everything a `repro sweep` run owns — the
-expanded job list, the content-addressed cache triage, the crash-safe
-journal, the JSONL store — but executes nothing itself.  Workers
-connect over the :mod:`repro.service.protocol` socket and pull jobs
-under time-bounded leases; the server's only runtime duties are
-bookkeeping and recovery:
+A :class:`SweepServer` serves one campaign to workers that connect
+over the :mod:`repro.service.protocol` socket and pull jobs under
+time-bounded leases.  It executes nothing itself, and it keeps no
+campaign books of its own: the runner's ledger
+(:mod:`repro.experiments.runner`) triages the cache and journal,
+settles every result with the same retry/quarantine policy as the
+in-process engines, and assembles the final
+:class:`~repro.experiments.runner.CampaignResult`.  What is left here
+is transport:
 
 * grant jobs (cache hits and journal-resumed jobs are never queued),
 * renew leases on heartbeats,
-* return orphaned jobs to the queue when a lease expires (dead or
-  stalled worker — "work stealing" from the claimant's perspective),
-* reconcile results idempotently: the first completion of a job wins
-  and is journaled immediately; late results from presumed-dead
-  workers are acknowledged as duplicates and discarded, which is safe
-  because job execution is deterministic,
-* retry transient job failures (re-queue) up to ``max_retries``,
-  quarantining poison jobs exactly like the inline runner,
-* on completion — or on a drain triggered by SIGINT/SIGTERM — write
-  the store in grid order and journal the ``end``/``checkpoint``
-  event, so ``--resume`` behaves identically to the inline engine.
+* turn a lapsed lease (dead or stalled worker) into a
+  ``lease_expired`` failure for the runner's settle, which re-queues
+  the job at the back — "work stealing" from the claimant's
+  perspective — or quarantines it once its retries are spent,
+* reconcile results idempotently: the first completion of a job wins;
+  late results from presumed-dead workers are acknowledged as
+  duplicates and discarded, which is safe because job execution is
+  deterministic,
+* on completion — or on a drain triggered by SIGINT/SIGTERM — finish
+  the ledger, which writes the store in grid order and journals the
+  ``end``/``checkpoint`` event, so ``--resume`` behaves identically to
+  the inline engine.
 
-The final :class:`~repro.experiments.runner.CampaignResult` is
-byte-compatible with an inline run of the same spec: served records
-carry no worker identity, no attempt counts (for ok records), and no
-timing — the chaos determinism gate relies on it.
+Served records carry no worker identity, no attempt counts (for ok
+records), and no timing, so they match an inline run of the same spec
+— the chaos determinism gate relies on it.
 
 Fault injection: the server consults its
 :class:`~repro.experiments.faults.FaultPlan` at grant time.  In-process
@@ -48,12 +51,10 @@ from collections import deque
 from typing import Any
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.faults import FaultPlan, classify_error
-from repro.experiments.kinds import job_kind
-from repro.experiments.runner import CampaignResult, SpecDriftError
+from repro.experiments.faults import FaultPlan
+from repro.experiments.runner import CampaignResult, _Ledger, failure_record
 from repro.experiments.spec import SweepSpec, campaign_id
 from repro.experiments.store import CampaignJournal, ResultStore
-from repro.obs.metrics import merge_metrics
 from repro.service.leases import LeaseTable
 from repro.service.protocol import (
     ProtocolError,
@@ -62,40 +63,6 @@ from repro.service.protocol import (
 )
 
 __all__ = ["SweepServer"]
-
-
-def _kind_transients(kind_name: str) -> tuple[str, ...]:
-    try:
-        return job_kind(kind_name).transient_errors
-    except Exception:
-        return ()
-
-
-def _lease_failure_record(
-    payload: dict[str, Any], job_id: str, worker: str, attempt: int
-) -> dict[str, Any]:
-    """Synthetic error record for a job whose holder went dark.
-
-    Same shape as the inline supervisor's WorkerCrash records, so
-    ``repro report --failures`` and the failure report treat a dead
-    remote worker like a dead local one.
-    """
-    return {
-        "job_id": job_id,
-        "kind": payload.get("kind", "model"),
-        "model": payload.get("model", "?"),
-        "model_seed": payload.get("model_seed"),
-        "image_seed": payload.get("image_seed"),
-        "n_images": payload.get("n_images"),
-        "config": payload.get("config", {}),
-        "status": "error",
-        "result": None,
-        "error": (
-            f"LeaseExpired: worker {worker!r} stopped heartbeating "
-            f"and its lease lapsed (attempt {attempt})"
-        ),
-        "error_class": "lease_expired",
-    }
 
 
 class SweepServer:
@@ -110,9 +77,10 @@ class SweepServer:
             picks an ephemeral port).
         lease_seconds / heartbeat_seconds: lease budget and the beat
             interval advertised to workers.
-        max_retries: transient-failure re-queues per job (lease
-            expiries included) before quarantine.
         result: the final :class:`CampaignResult` once finished.
+
+    ``max_retries`` bounds the transient-failure re-queues per job
+    (lease expiries included) before quarantine.
     """
 
     def __init__(
@@ -136,10 +104,6 @@ class SweepServer:
         self.campaign_id = campaign_id(spec)
         self.host = host
         self.port = port
-        self.cache = cache
-        self.store = store
-        self.journal = journal
-        self.max_retries = max_retries
         self.fault_plan = fault_plan
         self.leases = LeaseTable(lease_seconds, heartbeat_seconds)
         self.lease_seconds = self.leases.lease_seconds
@@ -147,28 +111,23 @@ class SweepServer:
         self.result: CampaignResult | None = None
 
         self._jobs = spec.expand()
+        self._ledger = _Ledger(
+            self.name, self._jobs, cache, store, journal, max_retries
+        )
         self._payloads = [job.to_dict() for job in self._jobs]
         self._index_by_job = {
             job.job_id: index for index, job in enumerate(self._jobs)
         }
         self._lock = threading.RLock()
         self._pending: deque[int] = deque()
-        self._cached: dict[int, dict[str, Any]] = {}
-        self._resumed: dict[int, dict[str, Any]] = {}
-        self._fresh: dict[int, dict[str, Any]] = {}
         self._attempts: dict[str, int] = {}
-        self._quarantined: list[str] = []
         self._workers_seen: set[str] = set()
-        self._retries = 0
         self._reconnects = 0
         self._duplicates = 0
         self._protocol_errors = 0
-        self._misses = 0
         self._draining = False
         self._finished = False
         self._done = threading.Event()
-        self._started_at = 0.0
-        self._corrupt_before = 0
         self._sock: socket.socket | None = None
         self._conns: list[socket.socket] = []
 
@@ -177,53 +136,12 @@ class SweepServer:
     def start(self) -> tuple[str, int]:
         """Triage cache/journal, bind, and start serving; returns addr.
 
-        Raises :class:`SpecDriftError` when an existing journal's
-        ``start`` entry records a different campaign than this spec
-        derives — resuming would silently mix results otherwise.
+        Raises :class:`~repro.experiments.runner.SpecDriftError` when
+        an existing journal's ``start`` entry records a different
+        campaign than this spec derives — resuming would silently mix
+        results otherwise.
         """
-        self._started_at = time.perf_counter()
-        self._corrupt_before = (
-            self.cache.corrupt_dropped if self.cache is not None else 0
-        )
-        journal_done: dict[str, dict[str, Any]] = {}
-        if self.journal is not None:
-            if self.journal.exists():
-                self.journal.recover()
-                entry = self.journal.start_entry() or {}
-                journaled = entry.get("campaign_id")
-                if journaled is not None and journaled != self.campaign_id:
-                    raise SpecDriftError(
-                        f"journal {self.journal.path} records campaign "
-                        f"{journaled!r} ({entry.get('campaign')!r}), but "
-                        f"this spec derives {self.campaign_id!r}; the "
-                        f"grid, seed, or name has drifted since the "
-                        f"journal was written — serve the original spec "
-                        f"or start a fresh campaign"
-                    )
-                journal_done = self.journal.completed()
-                self.journal.append({"event": "resume"})
-            else:
-                self.journal.start(
-                    self.campaign_id,
-                    self.name,
-                    self.spec.to_dict(),
-                    str(self.store.path) if self.store else None,
-                )
-        for index, job in enumerate(self._jobs):
-            record = journal_done.get(job.job_id)
-            if record is not None:
-                self._resumed[index] = record
-                continue
-            # ``is not None``: ResultCache.__len__ globs the directory,
-            # and an empty cache must still be read.
-            record = (
-                self.cache.get_job(job) if self.cache is not None else None
-            )
-            if record is not None:
-                self._cached[index] = record
-            else:
-                self._pending.append(index)
-        self._misses = len(self._pending)
+        self._pending.extend(self._ledger.open(self.spec))
 
         self._sock = socket.create_server((self.host, self.port))
         self.host, self.port = self._sock.getsockname()[:2]
@@ -350,25 +268,29 @@ class SweepServer:
         for lease in self.leases.expire():
             with self._lock:
                 index = self._index_by_job.get(lease.job_id)
-                if index is None or index in self._fresh:
+                if index is None or index in self._ledger.records:
                     continue  # completed just before expiry
-                if lease.attempt <= self.max_retries:
-                    # Back of the queue: clean jobs drain first, the
-                    # repeat offender re-runs when a worker frees up.
-                    self._pending.append(index)
-                    self._retries += 1
-                else:
-                    record = _lease_failure_record(
-                        self._payloads[index],
-                        lease.job_id,
-                        lease.worker,
-                        lease.attempt,
-                    )
-                    record["attempts"] = lease.attempt
-                    record["quarantined"] = True
-                    self._quarantined.append(lease.job_id)
-                    self._fresh[index] = record
+                record = failure_record(
+                    self._payloads[index],
+                    lease.job_id,
+                    f"LeaseExpired: worker {lease.worker!r} stopped "
+                    f"heartbeating and its lease lapsed "
+                    f"(attempt {lease.attempt})",
+                    "lease_expired",
+                )
+                self._settle(index, record, lease.attempt)
         self._maybe_finish()
+
+    def _settle(
+        self, index: int, record: dict[str, Any], attempt: int
+    ) -> None:
+        """Land a result through the runner's policy; called under lock.
+
+        A retry goes to the back of the queue: clean jobs drain first,
+        the repeat offender re-runs when a worker frees up.
+        """
+        if self._ledger.settle(index, record, attempt) is None:
+            self._pending.append(index)
 
     # -- message dispatch ------------------------------------------------
 
@@ -498,11 +420,7 @@ class SweepServer:
                     "duplicate": False,
                     "reason": "unknown job or malformed record",
                 }
-            if (
-                index in self._fresh
-                or index in self._cached
-                or index in self._resumed
-            ):
+            if index in self._ledger.records:
                 # Late result from a presumed-dead worker for a job
                 # someone else already finished: idempotent discard.
                 self._duplicates += 1
@@ -521,38 +439,7 @@ class SweepServer:
                 self._pending.remove(index)
             except ValueError:
                 pass
-            if record.get("status") == "ok":
-                if self.journal is not None:
-                    self.journal.record_job(
-                        {
-                            **record,
-                            "cached": False,
-                            "campaign": self.name,
-                        }
-                    )
-                if self.cache is not None:
-                    self.cache.put_job(self._jobs[index], record)
-                self._fresh[index] = record
-            else:
-                attempts = self._attempts.get(job_id, 1)
-                error_class = record.get("error_class") or classify_error(
-                    record.get("error"),
-                    _kind_transients(record.get("kind", "model")),
-                )
-                if (
-                    error_class != "permanent"
-                    and attempts <= self.max_retries
-                ):
-                    self._retries += 1
-                    self._pending.append(index)
-                else:
-                    final = dict(record)
-                    final["error_class"] = error_class
-                    final["attempts"] = attempts
-                    final["quarantined"] = error_class != "permanent"
-                    if final["quarantined"]:
-                        self._quarantined.append(job_id)
-                    self._fresh[index] = final
+            self._settle(index, record, self._attempts.get(job_id, 1))
         self._maybe_finish()
         return {"type": "ack", "accepted": True, "duplicate": False}
 
@@ -563,9 +450,7 @@ class SweepServer:
                 "campaign": self.name,
                 "campaign_id": self.campaign_id,
                 "total": len(self._jobs),
-                "done": len(self._fresh)
-                + len(self._cached)
-                + len(self._resumed),
+                "done": len(self._ledger.records),
                 "pending": len(self._pending),
                 "leased": len(self.leases),
                 "workers": sorted(self._workers_seen),
@@ -576,98 +461,25 @@ class SweepServer:
 
     def _maybe_finish(self) -> None:
         with self._lock:
-            if self._finished:
-                return
-            settled = (
-                len(self._fresh) + len(self._cached) + len(self._resumed)
-            )
-            if settled == len(self._jobs):
+            settled = len(self._ledger.records) == len(self._jobs)
+            if settled and not self._finished:
                 self._finish(interrupted=False)
 
     def _finish(self, interrupted: bool) -> None:
-        """Assemble the CampaignResult and persist; called under lock."""
+        """Finish the ledger and publish the result; called under lock."""
         self._finished = True
-        out = CampaignResult(
-            name=self.name,
-            hits=len(self._cached),
-            misses=self._misses,
-            workers=max(1, len(self._workers_seen)),
-            resumed=len(self._resumed),
-            retries=self._retries,
-            interrupted=interrupted,
-            quarantined=list(self._quarantined),
-        )
-        by_index: dict[int, dict[str, Any]] = dict(self._cached)
-        by_index.update(self._fresh)
-        by_index.update(self._resumed)
-        for index in range(len(self._jobs)):
-            if index not in by_index:
-                out.remaining.append(self._jobs[index].job_id)
-                continue
-            record = dict(by_index[index])
-            record["cached"] = index in self._cached
-            record["campaign"] = self.name
-            if index in self._resumed:
-                record["resumed"] = True
-            if record.get("status") == "error" and index in self._fresh:
-                out.errors += 1
-                out.failures.append(
-                    {
-                        "job_id": record.get("job_id"),
-                        "kind": record.get("kind", "model"),
-                        "label": self._jobs[index].label(),
-                        "error": record.get("error"),
-                        "error_class": record.get(
-                            "error_class", "permanent"
-                        ),
-                        "attempts": record.get("attempts", 1),
-                        "quarantined": record.get("quarantined", False),
-                    }
-                )
-            out.records.append(record)
-        out.elapsed_seconds = time.perf_counter() - self._started_at
-        out.metrics = self._aggregate_metrics(out)
-        if self.store is not None:
-            self.store.extend(out.records)
-        if self.journal is not None:
-            event = "checkpoint" if interrupted else "end"
-            self.journal.append(
-                {"event": event, "report": out.failure_report()}
-            )
-        self.result = out
-        self._done.set()
-
-    def _aggregate_metrics(self, out: CampaignResult) -> dict[str, Any]:
-        """Record metrics + runner-compatible counters + service.*."""
-        metrics: dict[str, Any] = {}
-        for record in out.records:
-            result = record.get("result") or {}
-            snapshot = result.get("metrics")
-            if snapshot:
-                merge_metrics(metrics, snapshot)
-        corrupt = (
-            self.cache.corrupt_dropped - self._corrupt_before
-            if self.cache is not None
-            else 0
-        )
-        merge_metrics(
-            metrics,
+        seen = len(self._workers_seen)
+        self.result = self._ledger.finish(
+            interrupted,
+            max(1, seen),
             {
-                "cache.hits": out.hits,
-                "cache.misses": out.misses,
-                "cache.errors": out.errors,
-                "cache.corrupt_entries": corrupt,
-                "runner.jobs": out.n_jobs,
-                "runner.workers.peak": len(self._workers_seen),
-                "runner.resumed": out.resumed,
-                "runner.retries": out.retries,
-                "runner.quarantined": len(out.quarantined),
+                "runner.workers.peak": seen,
                 **self.leases.counters(),
                 "service.heartbeats": self.leases.renewed,
                 "service.reconnects": self._reconnects,
                 "service.results.duplicate": self._duplicates,
                 "service.protocol.errors": self._protocol_errors,
-                "service.workers.peak": len(self._workers_seen),
+                "service.workers.peak": seen,
             },
         )
-        return metrics
+        self._done.set()

@@ -914,7 +914,7 @@ class TestServiceCLI:
         code = main(["cache", "verify", "--cache-dir", str(root)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "1 entry checked, 1 ok, 0 legacy, 0 corrupt" in out
+        assert "1 entry checked, 1 ok, 0 corrupt" in out
 
     def test_cache_verify_corrupt_exits_1_and_quarantines(
         self, tmp_path, capsys

@@ -270,15 +270,21 @@ class TestVerifySweep:
         assert victim.exists()  # left in place for inspection
         assert cache.quarantined() == []
 
-    def test_legacy_entries_counted_not_flagged(self, tmp_path):
+    def test_non_envelope_entry_is_corrupt(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = "ab" * 32
-        path = cache._path(key)
+        job = make_job()
+        path = cache._path(cache.key_for(job))
         path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(RECORD))  # pre-envelope format
-        report = cache.verify()
-        assert (report["legacy"], report["ok"]) == (1, 0)
-        assert report["corrupt"] == []
+        bare = json.dumps({"status": "ok", "bogus": 1})  # no envelope
+        path.write_text(bare)
+        report = cache.verify(quarantine=False)
+        assert report["ok"] == 0
+        assert report["corrupt"] == [str(path.relative_to(tmp_path))]
+        assert "legacy" not in report
+        # Never served as a record: read, it is quarantined.
+        assert cache.get_job(job) is None
+        assert not path.exists()
+        assert cache.corrupt_dropped == 1
 
     def test_quarantined_listing(self, tmp_path):
         cache = ResultCache(tmp_path)

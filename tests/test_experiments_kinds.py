@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -762,3 +764,42 @@ class TestServingKind:
             first.records[0]["result"]["total_bit_transitions"]
             == second.records[0]["result"]["total_bit_transitions"]
         )
+
+
+GOLDEN_TRACE = (
+    pathlib.Path(__file__).parent / "data" / "golden_lenet_fixed8_O0.trace.gz"
+)
+
+
+def one_job_per_kind() -> dict[str, JobSpec]:
+    (replay,) = SweepSpec(
+        name="r",
+        kind="replay",
+        base={"trace": str(GOLDEN_TRACE)},
+        axes={"ordering": ["popcount_desc"], "core": ["event"]},
+    ).expand()
+    return {
+        "model": JobSpec(model="lenet", config=tiny_accel()),
+        "batch": JobSpec(
+            model="lenet", config=tiny_accel(), kind="batch", n_images=2
+        ),
+        "synthetic": JobSpec(config=tiny_synth(), kind="synthetic"),
+        "serving": JobSpec(config=tiny_serving(), kind="serving"),
+        "replay": replay,
+    }
+
+
+class TestDeterminism:
+    def test_every_kind_repeats_byte_identically_in_process(self):
+        """A record is a pure function of its job: a second execution
+        in the same process (warm lru caches, advanced module state)
+        must serialise to the same bytes."""
+        jobs = one_job_per_kind()
+        assert set(jobs) == set(JOB_KINDS)
+        for kind, job in jobs.items():
+            first, second = (
+                json.dumps(execute_job(job.to_dict()), sort_keys=True)
+                for _ in range(2)
+            )
+            assert json.loads(first)["status"] == "ok", kind
+            assert first == second, kind

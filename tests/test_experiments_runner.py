@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.accelerator.config import AcceleratorConfig
 from repro.experiments.cache import ResultCache
 from repro.experiments.kinds import JOB_KINDS, JobKind, register_job_kind
-from repro.experiments.runner import CampaignRunner, execute_job
+from repro.experiments.faults import FaultAction, FaultPlan
+from repro.experiments.runner import (
+    CampaignRunner,
+    _Ledger,
+    execute_job,
+    failure_record,
+)
 from repro.experiments.spec import JobSpec, SweepSpec
 from repro.experiments.store import ResultStore
 
@@ -298,7 +305,8 @@ class TestTelemetry:
         assert [s["done"] for s in samples] == [1, 2, 3, 4]
         assert all(s["total"] == 4 for s in samples)
         assert all(s["failed"] == 0 for s in samples)
-        assert samples[-1]["running"] == 0
+        # Inline execution never has a job in flight between samples.
+        assert [s["running"] for s in samples] == [0, 0, 0, 0]
 
     def test_sample_schema(self, tmp_path):
         _, samples = self.collect(tmp_path)
@@ -320,6 +328,9 @@ class TestTelemetry:
         assert not out.errors
         assert len(samples) == 4
         assert [s["done"] for s in samples] == [1, 2, 3, 4]
+        # Observed in-flight counts: bounded by the pool, 0 at the end.
+        assert all(0 <= s["running"] <= 2 for s in samples)
+        assert samples[-1]["running"] == 0
 
     def test_cached_jobs_emit_no_samples(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -335,3 +346,137 @@ class TestTelemetry:
         assert out.errors == 1
         assert samples[-1]["failed"] == 1
         assert samples[-1]["status"] == "error"
+
+
+def error_record(job: JobSpec, error: str, error_class=None):
+    return failure_record(job.to_dict(), job.job_id, error, error_class)
+
+
+# (error, synthetic error_class, attempt, max_retries) -> the final
+# (error_class, quarantined), or None for "retry".
+SETTLE_CASES = {
+    "transient within budget": (
+        "TransientFaultError: blip", None, 1, 1, None,
+    ),
+    "transient past budget": (
+        "TransientFaultError: blip", None, 2, 1, ("transient", True),
+    ),
+    "permanent is final at once": (
+        "ValueError: bad config", None, 1, 3, ("permanent", False),
+    ),
+    "timeout retries": ("JobTimeout: slow", "timeout", 1, 1, None),
+    "timeout quarantines": (
+        "JobTimeout: slow", "timeout", 2, 1, ("timeout", True),
+    ),
+    "worker crash retries": (
+        "WorkerCrash: exit 87", "worker_crash", 1, 2, None,
+    ),
+    "worker crash quarantines": (
+        "WorkerCrash: exit 87", "worker_crash", 3, 2,
+        ("worker_crash", True),
+    ),
+    "lease expiry retries": (
+        "LeaseExpired: gone", "lease_expired", 1, 1, None,
+    ),
+    "lease expiry quarantines": (
+        "LeaseExpired: gone", "lease_expired", 1, 0,
+        ("lease_expired", True),
+    ),
+}
+
+
+class TestSettlePolicy:
+    """The one retry/classify/quarantine policy every engine shares."""
+
+    @staticmethod
+    def ledger(max_retries: int) -> _Ledger:
+        return _Ledger(
+            "t", small_spec().expand(), None, None, None, max_retries
+        )
+
+    def test_ok_record_passes_through_unchanged(self):
+        ledger = self.ledger(max_retries=2)
+        record = {"job_id": ledger.jobs[0].job_id, "status": "ok"}
+        assert ledger.settle(0, dict(record), attempt=1) == record
+        assert ledger.records == {0: record}
+        assert (ledger.retries, ledger.quarantined) == (0, [])
+
+    @pytest.mark.parametrize(
+        "error, error_class, attempt, max_retries, final",
+        list(SETTLE_CASES.values()),
+        ids=list(SETTLE_CASES),
+    )
+    def test_failure_retries_or_finalises(
+        self, error, error_class, attempt, max_retries, final
+    ):
+        ledger = self.ledger(max_retries)
+        job = ledger.jobs[0]
+        record = error_record(job, error, error_class)
+        settled = ledger.settle(0, record, attempt)
+        if final is None:
+            assert settled is None
+            assert ledger.retries == 1
+            assert ledger.records == {}
+            return
+        assert ledger.retries == 0
+        assert settled == {
+            **record,
+            "error_class": final[0],
+            "attempts": attempt,
+            "quarantined": final[1],
+        }
+        assert ledger.records == {0: settled}
+        assert ledger.quarantined == ([job.job_id] if final[1] else [])
+
+
+class TestEngineParity:
+    def test_runner_and_server_settle_alike(self):
+        """Same faults, same policy: the supervised runner and the
+        sweep server land on the same records and failure report."""
+        from repro.service import SweepServer, SweepWorker
+
+        from test_experiments_faults import stripped
+
+        plan = FaultPlan(
+            {
+                0: [FaultAction("transient", attempt=1)],
+                1: [
+                    FaultAction("transient", attempt=1),
+                    FaultAction("transient", attempt=2),
+                ],
+            }
+        )
+        spec = small_spec()
+        local = CampaignRunner(
+            workers=2, max_retries=1, backoff_base=0.01, fault_plan=plan
+        ).run(spec)
+        server = SweepServer(spec, max_retries=1, fault_plan=plan)
+        server.start()
+        try:
+            worker = SweepWorker(
+                server.host, server.port, name="w0",
+                reconnect_attempts=3, reconnect_backoff=0.05,
+            )
+            thread = threading.Thread(target=worker.run)
+            thread.start()
+            served = server.wait(timeout=60.0)
+            thread.join(timeout=30.0)
+        finally:
+            server.close()
+        assert served is not None and not thread.is_alive()
+        assert stripped(served.records) == stripped(local.records)
+        assert served.failure_report() == local.failure_report()
+        job1 = spec.expand()[1].job_id
+        assert local.retries == 2
+        assert local.quarantined == [job1]
+        bad = [r for r in local.records if r["status"] == "error"]
+        assert [(r["job_id"], r["attempts"]) for r in bad] == [(job1, 2)]
+
+        def shared(metrics):
+            return {
+                k: v for k, v in metrics.items()
+                if not k.startswith("service.")
+                and k != "runner.workers.peak"
+            }
+
+        assert shared(served.metrics) == shared(local.metrics)
