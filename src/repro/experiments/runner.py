@@ -27,11 +27,15 @@ The engines only move jobs and choose when a retry runs:
 * the inline loop (``workers=1``, no timeout or fault plan) calls
   :func:`execute_job` in-process and sleeps the seeded backoff between
   attempts;
-* ``_Supervisor`` forks one child per attempt into ``workers`` slots.
-  A child past ``job_timeout`` is killed (a ``JobTimeout`` record), a
-  child that dies without a result (``os._exit``, SIGKILL, OOM) is a
-  ``WorkerCrash``, and a retry sits out its seeded backoff while other
-  jobs run;
+* ``_Supervisor`` forks up to ``workers`` long-lived workers, lazily,
+  and feeds each one job at a time over a duplex pipe.  A worker past
+  ``job_timeout`` is killed (a ``JobTimeout`` record), one that dies
+  without a result (``os._exit``, SIGKILL, OOM) is a ``WorkerCrash``,
+  and either is replaced by a fresh fork on the next dispatch; a retry
+  sits out its seeded backoff while other jobs run.  Forking per
+  attempt instead cost more than the jobs on a simulation-scale grid;
+  reuse is safe because a record depends only on its job, never on
+  what the process ran before;
 * :class:`~repro.service.server.SweepServer` leases jobs to socket
   workers, turns a lapsed lease into a ``LeaseExpired`` record, and
   re-queues a retry at the back of its queue.
@@ -58,7 +62,6 @@ import contextlib
 import dataclasses
 import heapq
 import multiprocessing
-import os
 import signal
 import threading
 import time
@@ -207,20 +210,34 @@ def failure_record(
     return record
 
 
-def _worker_main(conn, payload: dict[str, Any]) -> None:
-    """Child-process entry: run the job, pipe the record back, exit.
+def _worker_loop(conn, parent_end) -> None:
+    """Worker-process entry: run job payloads off the pipe until stopped.
 
-    SIGINT is ignored in workers — a Ctrl-C belongs to the supervisor,
-    which checkpoints the journal and kills children deliberately
-    instead of letting the process group race to die.
+    Each payload is answered with its :func:`execute_job` record; a
+    ``None`` sentinel, or EOF once the supervisor is gone, ends the
+    loop.  SIGINT is ignored — a Ctrl-C belongs to the supervisor,
+    which checkpoints the journal and kills workers deliberately — and
+    SIGTERM is reset to the default, so a timeout kill ends the worker
+    quietly instead of raising the KeyboardInterrupt of the
+    :func:`sigterm_as_interrupt` handler inherited at fork.  The
+    inherited metrics registry stays suspended: the supervisor's
+    single post-run aggregation is the one publication path.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    record = execute_job(payload)
-    try:
-        conn.send(record)
-        conn.close()
-    except Exception:  # pragma: no cover - parent died mid-send
-        os._exit(1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent_end.close()  # so the supervisor's exit reads as EOF here
+    with metrics_suspended():
+        while True:
+            try:
+                payload = conn.recv()
+            except (EOFError, OSError):
+                return
+            if payload is None:
+                return
+            try:
+                conn.send(execute_job(payload))
+            except OSError:  # pragma: no cover - supervisor gone
+                return
 
 
 @dataclass
@@ -590,21 +607,25 @@ class _Ledger:
 
 
 class _Supervisor:
-    """Async result collection over one-child-per-in-flight-job.
+    """Long-lived forked workers, each behind one duplex pipe.
 
     Replaces ``multiprocessing.Pool``: a pool cannot kill a hung task,
-    and a worker that hard-dies strands its AsyncResult forever.  With
-    one (daemonic) child per dispatch the supervisor can enforce
-    wall-clock deadlines with ``terminate``/``kill``, observe crash
-    exit codes directly, and keep scheduling while failed attempts sit
-    out their backoff.  Children are forked per job; at
-    simulation-scale job costs the fork overhead is noise (see the
-    bench regression gate).
+    and a worker that hard-dies strands its AsyncResult forever.  The
+    supervisor forks at most ``min(workers, len(todo))`` workers, on
+    first need, and hands each idle one the next job.  Owning the
+    processes lets it enforce wall-clock deadlines with
+    ``terminate``/``kill``, observe crash exit codes directly, and keep
+    scheduling while failed attempts sit out their backoff.  A worker
+    is replaced only when it dies: killed past ``job_timeout`` (a
+    ``JobTimeout`` record) or gone without a record (a
+    ``WorkerCrash``); the next dispatch forks a fresh one.
     """
 
     def __init__(self, runner: "CampaignRunner", ledger: _Ledger) -> None:
         self.runner = runner
         self.ledger = ledger
+        self.ctx = multiprocessing.get_context()
+        self.idle: list[tuple[Any, Any]] = []  # (conn, proc)
 
     def run(
         self,
@@ -615,12 +636,14 @@ class _Supervisor:
 
         ``on_final(record, running)`` fires once per job as its
         outcome settles, in completion order, with the number of jobs
-        still in flight.  On KeyboardInterrupt the in-flight children
-        are killed and the unfinished jobs stay unsettled.
+        still in flight.  On KeyboardInterrupt every worker, busy or
+        idle, is killed and the unfinished jobs stay unsettled; a
+        normal finish sends each idle worker the stop sentinel and
+        joins it.
         """
         runner = self.runner
         jobs = self.ledger.jobs
-        ctx = multiprocessing.get_context()
+        limit = min(runner.workers, len(todo))
         pending: deque[_Task] = deque(
             _Task(index, jobs[index].job_id, jobs[index].to_dict())
             for index in todo
@@ -652,13 +675,14 @@ class _Supervisor:
                 ),
             )
 
+        interrupted = False
         try:
             while pending or waiting or running:
                 now = time.monotonic()
                 while waiting and waiting[0][0] <= now:
                     pending.appendleft(heapq.heappop(waiting)[2])
-                while pending and len(running) < runner.workers:
-                    self._launch(ctx, pending.popleft(), running)
+                while pending and len(running) < limit:
+                    self._dispatch(pending.popleft(), running)
                 if not running:
                     # Everything is sitting out a backoff window.
                     time.sleep(
@@ -673,15 +697,23 @@ class _Supervisor:
                     settle(task, self._collect(conn, proc, task))
                 self._reap_timeouts(running, settle)
         except KeyboardInterrupt:
-            for conn, (task, proc, _) in list(running.items()):
-                self._kill(proc)
-                conn.close()
-            return True
-        return False
+            interrupted = True
+        finally:
+            self._shutdown(running, interrupted)
+        return interrupted
 
     # -- internals -------------------------------------------------------
 
-    def _launch(self, ctx, task: _Task, running: dict) -> None:
+    def _start(self) -> tuple[Any, Any]:
+        conn, child_conn = self.ctx.Pipe()
+        proc = self.ctx.Process(
+            target=_worker_loop, args=(child_conn, conn), daemon=True
+        )
+        proc.start()
+        child_conn.close()  # the worker holds the only copy: EOF = death
+        return conn, proc
+
+    def _dispatch(self, task: _Task, running: dict) -> None:
         payload = task.payload
         plan: FaultPlan | None = self.runner.fault_plan
         if plan is not None:
@@ -698,18 +730,20 @@ class _Supervisor:
             if actions:
                 payload = dict(payload)
                 payload["_fault"] = [a.to_dict() for a in actions]
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main, args=(child_conn, payload), daemon=True
-        )
-        proc.start()
-        child_conn.close()  # keep one write end, so EOF means death
+        while True:
+            conn, proc = self.idle.pop() if self.idle else self._start()
+            try:
+                conn.send(payload)
+                break
+            except OSError:  # died while idle: no attempt was lost
+                self._kill(proc)
+                conn.close()
         deadline = (
             None
             if self.runner.job_timeout is None
             else time.monotonic() + self.runner.job_timeout
         )
-        running[parent_conn] = (task, proc, deadline)
+        running[conn] = (task, proc, deadline)
 
     @staticmethod
     def _next_wake(running: dict, waiting: list) -> float | None:
@@ -721,16 +755,15 @@ class _Supervisor:
         return max(0.0, min(marks) - time.monotonic())
 
     def _collect(self, conn, proc, task: _Task) -> dict[str, Any]:
-        record = None
         try:
             record = conn.recv()
         except (EOFError, OSError):
             record = None
-        finally:
-            conn.close()
-        proc.join(timeout=5.0)
         if isinstance(record, dict):
+            self.idle.append((conn, proc))
             return record
+        conn.close()
+        proc.join(timeout=5.0)
         self.ledger.worker_crashes += 1
         return failure_record(
             task.payload,
@@ -763,6 +796,20 @@ class _Supervisor:
                     "timeout",
                 ),
             )
+
+    def _shutdown(self, running: dict, interrupted: bool) -> None:
+        """Kill busy workers; stop idle ones (killed if interrupted)."""
+        for conn, (_, proc, _) in running.items():
+            self._kill(proc)
+            conn.close()
+        for conn, proc in self.idle:
+            if not interrupted:
+                with contextlib.suppress(OSError):
+                    conn.send(None)
+                proc.join(timeout=5.0)
+            self._kill(proc)  # a no-op once the worker has exited
+            conn.close()
+        self.idle.clear()
 
     @staticmethod
     def _kill(proc) -> None:

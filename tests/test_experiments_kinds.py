@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import pathlib
 
 import pytest
@@ -789,6 +790,27 @@ def one_job_per_kind() -> dict[str, JobSpec]:
     }
 
 
+def _send_record(conn, payload) -> None:
+    conn.send(json.dumps(execute_job(payload), sort_keys=True))
+    conn.close()
+
+
+def record_in_fresh_process(job: JobSpec) -> str:
+    """``job``'s record, serialised, from a fresh fork of this process."""
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_send_record, args=(child_conn, job.to_dict()))
+    proc.start()
+    child_conn.close()
+    try:
+        assert parent_conn.poll(60.0), "forked job sent no record"
+        return parent_conn.recv()
+    finally:
+        parent_conn.close()
+        proc.join(timeout=10.0)
+        assert not proc.is_alive()
+
+
 class TestDeterminism:
     def test_every_kind_repeats_byte_identically_in_process(self):
         """A record is a pure function of its job: a second execution
@@ -803,3 +825,21 @@ class TestDeterminism:
             )
             assert json.loads(first)["status"] == "ok", kind
             assert first == second, kind
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_records_are_independent_of_process_history(self):
+        """A persistent worker runs job after job of any kind in one
+        process; each record must match that job run alone in a fresh
+        fork, whatever ran before it."""
+        jobs = one_job_per_kind()
+        alone = {
+            kind: record_in_fresh_process(job) for kind, job in jobs.items()
+        }
+        sequence = list(jobs.items())
+        for kind, job in sequence + sequence[::-1]:
+            record = json.dumps(execute_job(job.to_dict()), sort_keys=True)
+            assert json.loads(record)["status"] == "ok", kind
+            assert record == alone[kind], kind

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
 import threading
 
 import pytest
@@ -19,6 +22,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import JobSpec, SweepSpec
 from repro.experiments.store import ResultStore
+from repro.obs.metrics import active_registry, metrics_session
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -480,3 +484,136 @@ class TestEngineParity:
             }
 
         assert shared(served.metrics) == shared(local.metrics)
+
+
+def spy_on_starts(monkeypatch) -> list:
+    """Record every process ``start()``: one entry per fork."""
+    started: list = []
+    original = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        return original(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return started
+
+
+@pytest.fixture
+def registry_probe_kind():
+    """A registered kind whose result says if a registry was live."""
+
+    class RegistryProbeKind(JobKind):
+        name = "registry_probe"
+
+        def execute(self, job):
+            result = super().execute(job)
+            result["registry_live"] = active_registry() is not None
+            return result
+
+    kind = register_job_kind(RegistryProbeKind())
+    yield kind
+    del JOB_KINDS["registry_probe"]
+
+
+class TestPersistentWorkers:
+    """The supervisor forks each worker once and reuses it; only a
+    killed or crashed worker is replaced, and none outlives ``run``."""
+
+    @pytest.mark.parametrize("workers, starts", [(2, 2), (8, 4)])
+    def test_clean_grid_starts_one_process_per_worker(
+        self, monkeypatch, workers, starts
+    ):
+        started = spy_on_starts(monkeypatch)
+        result = CampaignRunner(workers=workers).run(small_spec())
+        assert result.n_jobs == 4 and result.errors == 0
+        assert len(started) == starts
+        assert multiprocessing.active_children() == []
+
+    def test_kill_costs_one_extra_start(self, monkeypatch):
+        plan = FaultPlan({0: [FaultAction("kill", attempt=1)]})
+        started = spy_on_starts(monkeypatch)
+        result = CampaignRunner(
+            workers=2, max_retries=1, backoff_base=0.01, fault_plan=plan
+        ).run(small_spec())
+        assert result.worker_crashes == 1 and result.errors == 0
+        assert len(started) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_timeout_kills_quietly_and_next_job_gets_fresh_worker(
+        self, monkeypatch, capfd
+    ):
+        plan = FaultPlan({0: [FaultAction("hang", hang_seconds=60.0)]})
+        started = spy_on_starts(monkeypatch)
+        result = CampaignRunner(
+            workers=1, job_timeout=2.0, fault_plan=plan
+        ).run(small_spec().expand()[:2])
+        assert result.timeouts == 1
+        assert [r["status"] for r in result.records] == ["error", "ok"]
+        assert result.records[0]["error_class"] == "timeout"
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+        # SIGTERM must not surface as the parent's KeyboardInterrupt.
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_idle_worker_death_is_replaced_not_charged(self, monkeypatch):
+        started = spy_on_starts(monkeypatch)
+
+        def kill_idle_worker(sample):
+            if sample["done"] == 1:
+                (worker,) = multiprocessing.active_children()
+                worker.kill()
+                worker.join(timeout=10.0)
+                assert not worker.is_alive()
+
+        result = CampaignRunner(workers=1, job_timeout=60.0).run(
+            small_spec(), telemetry=kill_idle_worker
+        )
+        assert result.errors == 0 and result.worker_crashes == 0
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_kills_busy_and_idle_workers(self, monkeypatch):
+        plan = FaultPlan({0: [FaultAction("hang", hang_seconds=60.0)]})
+        started = spy_on_starts(monkeypatch)
+        timer = threading.Timer(
+            1.5, lambda: os.kill(os.getpid(), signal.SIGINT)
+        )
+        timer.start()
+        try:
+            result = CampaignRunner(workers=2, fault_plan=plan).run(
+                small_spec()
+            )
+        finally:
+            timer.cancel()
+        assert result.interrupted
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_callback_error_still_stops_every_worker(self):
+        def boom(sample):
+            raise RuntimeError("telemetry sink failed")
+
+        with pytest.raises(RuntimeError, match="telemetry sink failed"):
+            CampaignRunner(workers=2).run(small_spec(), telemetry=boom)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_jobs_with_metrics_suspended(
+        self, registry_probe_kind
+    ):
+        job = JobSpec(
+            model="lenet",
+            config=AcceleratorConfig(
+                width=2, height=2, n_mcs=1, max_tasks_per_layer=1
+            ),
+            kind="registry_probe",
+        )
+        jobs = [job] * 3
+        with metrics_session() as registry:
+            result = CampaignRunner(workers=1, job_timeout=60.0).run(jobs)
+        assert result.errors == 0
+        assert [r["result"]["registry_live"] for r in result.records] == [
+            False
+        ] * 3
+        # The parent's one post-run aggregation is the only publication.
+        assert registry.snapshot()["runner.jobs"] == 3
