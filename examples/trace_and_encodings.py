@@ -26,7 +26,7 @@ from repro.accelerator import AcceleratorConfig, AcceleratorSimulator
 from repro.analysis import bar_chart
 from repro.dnn import LeNet5, synthetic_digits
 from repro.ordering import OrderingMethod
-from repro.noc import TraceRecorder, network_core
+from repro.noc import TraceRecorder
 from repro.workloads import (
     TrafficTrace,
     reencode_transitions,
@@ -69,8 +69,7 @@ def main() -> None:
 
     print()
     for core in ("event", "stepped"):
-        with network_core(core):
-            replayed = replay_through_network(reloaded)
+        replayed = replay_through_network(reloaded, core=core)
         exact = replayed.ledger.per_link() == trace.per_link_transitions()
         print(f"Replayed {len(reloaded.packets)} recorded packets through "
               f"the {core} core: per-link BT ledger reproduced "

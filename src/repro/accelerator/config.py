@@ -74,7 +74,7 @@ class AcceleratorConfig:
             default models the paper's side-band minimal index).
         n_vcs / vc_depth / routing / injection_rate: NoC parameters.
         core: pin the NoC cycle-loop core ("event" or "stepped");
-            None uses the process default.  Sweepable (``repro sweep
+            None means "event".  Sweepable (``repro sweep
             --cores``) for cross-core checks at campaign scale.
         codec: task encode/decode implementation — "batch" (default)
             runs the vectorised numpy data plane over whole layers of

@@ -29,10 +29,6 @@ Subcommands::
                        (--pivot mesh|model|layer|link; failed jobs are
                        skipped with a warning; --failures lists them
                        with error class / attempts / quarantine)
-    repro bench      — time the perf-benchmark workloads and write a
-                       BENCH_<tag>.json snapshot (--core event|stepped;
-                       --compare gates wall-time regressions against a
-                       previous snapshot)
     repro trace      — analyse recorded wire-image traces:
                        `stats` (one-screen summary), `heat` (per-link
                        BT heat by cycle window), `diff` (where two
@@ -371,42 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     c_verify.add_argument("--no-quarantine", action="store_true",
                           help="report corrupt entries but leave them "
                                "in place")
-
-    bench = sub.add_parser(
-        "bench", parents=[seeded],
-        help="time the perf workloads and write BENCH_<tag>.json",
-    )
-    bench.add_argument("--tag", default=None,
-                       help="snapshot label (default: the core name)")
-    bench.add_argument("--core", default="event",
-                       choices=("event", "stepped"),
-                       help="network core to measure")
-    bench.add_argument("--codec", default="batch",
-                       choices=("batch", "scalar"),
-                       help="task codec to measure (bit-identical "
-                            "results; only wall time moves)")
-    bench.add_argument("--workloads", default=None,
-                       help="comma list of workloads (default: all)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="reduced CI grids")
-    bench.add_argument("--out", default=None,
-                       help="output path (default BENCH_<tag>.json)")
-    bench.add_argument("--check-invariant", action="store_true",
-                       help="fail unless steps_executed <= simulated_cycles "
-                            "everywhere and the event core fast-forwarded "
-                            "somewhere (machine-independent)")
-    bench.add_argument("--compare", default=None,
-                       help="previous BENCH_<tag>.json to diff against; "
-                            "fails on wall-time regressions beyond "
-                            "--max-regression-pct")
-    bench.add_argument("--max-regression-pct", type=float, default=25.0,
-                       help="allowed per-workload wall-time regression "
-                            "vs --compare, in percent (default 25)")
-    bench.add_argument("--min-delta-seconds", type=float, default=0.05,
-                       help="absolute wall-time noise floor for "
-                            "--compare: smaller regressions never fail "
-                            "(default 0.05; raise when comparing across "
-                            "machines)")
 
     report = sub.add_parser(
         "report", parents=[seeded],
@@ -1138,69 +1098,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 1 if report["corrupt"] else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import check_invariants, compare_bench, run_bench
-
-    tag = args.tag or args.core
-    workloads = _split_csv(args.workloads) if args.workloads else None
-    try:
-        payload = run_bench(
-            tag,
-            core=args.core,
-            workloads=workloads,
-            smoke=args.smoke,
-            out_path=args.out,
-            progress=print,
-            codec=args.codec,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-    totals = payload["totals"]
-    print(
-        f"total: {totals['wall_seconds']:.2f}s wall, "
-        f"{totals['simulated_cycles']} cycles "
-        f"({totals['steps_executed']} stepped), "
-        f"{totals['cycles_per_second']:,.0f} cycles/s, "
-        f"{totals['flit_hops_per_second']:,.0f} flit-hops/s, "
-        f"peak RSS {payload['peak_rss_bytes'] / 1e6:.0f} MB"
-    )
-    out = args.out or f"BENCH_{tag}.json"
-    print(f"wrote {out}")
-    if args.check_invariant:
-        failures = check_invariants(payload)
-        for failure in failures:
-            print(f"invariant violated: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("invariants ok: stepped-cycles <= simulated-cycles"
-              + (", idle cycles were fast-forwarded"
-                 if payload["core"] == "event" else ""))
-    if args.compare:
-        import json
-
-        try:
-            baseline = json.loads(pathlib.Path(args.compare).read_text())
-        except (OSError, ValueError) as exc:
-            raise SystemExit(
-                f"bad bench baseline {args.compare!r}: {exc}"
-            ) from exc
-        regressions = compare_bench(
-            baseline,
-            payload,
-            args.max_regression_pct,
-            min_delta_seconds=args.min_delta_seconds,
-        )
-        for regression in regressions:
-            print(f"perf regression: {regression}", file=sys.stderr)
-        if regressions:
-            return 1
-        print(
-            f"wall time within +{args.max_regression_pct:.0f}% of "
-            f"{args.compare} on every workload"
-        )
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
     records = list(store.latest_by_job().values())
@@ -1327,7 +1224,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "work": _cmd_work,
     "cache": _cmd_cache,
-    "bench": _cmd_bench,
     "report": _cmd_report,
     "trace": _cmd_trace,
 }

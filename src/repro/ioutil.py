@@ -1,13 +1,13 @@
 """Atomic filesystem write helpers shared by every artifact producer.
 
-Every durable artifact the repo writes — ``BENCH_*.json`` snapshots,
-``*.trace.gz`` captures, CSV exports, cache entries — goes through the
-same temp-then-rename discipline: write the full content to a sibling
-temp file, flush and fsync it, then :func:`os.replace` it over the
-destination.  ``os.replace`` is atomic on POSIX (and on Windows for
-same-volume renames), so a reader never observes a torn file and an
-interrupt mid-write leaves at worst an orphaned ``*.tmp.<pid>`` sibling,
-never a corrupted artifact.
+Every durable artifact the repo writes — ``*.trace.gz`` captures, CSV
+exports, cache entries — goes through the same temp-then-rename
+discipline: write the full content to a sibling temp file, flush and
+fsync it, then :func:`os.replace` it over the destination.
+``os.replace`` is atomic on POSIX (and on Windows for same-volume
+renames), so a reader never observes a torn file and an interrupt
+mid-write leaves at worst an orphaned ``*.tmp.<pid>`` sibling, never a
+corrupted artifact.
 """
 
 from __future__ import annotations

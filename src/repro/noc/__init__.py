@@ -9,9 +9,6 @@ from repro.noc.network import (
     NoCConfig,
     NoCStats,
     SimulationTimeout,
-    default_core,
-    network_core,
-    set_default_core,
 )
 from repro.noc.recorder import (
     LinkRecorder,
@@ -54,9 +51,6 @@ __all__ = [
     "NoCConfig",
     "NoCStats",
     "SimulationTimeout",
-    "default_core",
-    "network_core",
-    "set_default_core",
     "LinkRecorder",
     "TransitionLedger",
     "TraceRecorder",

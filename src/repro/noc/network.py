@@ -32,9 +32,7 @@ Two cycle-loop implementations ("cores") produce bit-identical results:
 * ``"stepped"`` — the retained reference core: scans every router and
   NI each cycle and keeps arrivals in a plain list that is re-scanned
   for due flits every cycle.  It exists as the oracle for the
-  equivalence suite (``tests/test_noc_eventcore.py``) and as the
-  baseline the perf harness (``repro bench``) measures the event core
-  against.
+  equivalence suite (``tests/test_noc_eventcore.py``).
 
 Both cores share the routers, the NIs, and :meth:`Network.transmit`
 (per-hop BT recording with per-(router, outport) recorder handles that
@@ -54,10 +52,9 @@ proportion to the traffic, not to the mesh.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.noc.flit import Flit, Packet
 from repro.noc.interface import NetworkInterface
@@ -75,9 +72,6 @@ __all__ = [
     "Network",
     "SimulationTimeout",
     "CORES",
-    "default_core",
-    "set_default_core",
-    "network_core",
 ]
 
 
@@ -87,33 +81,6 @@ class SimulationTimeout(RuntimeError):
 
 #: The cycle-loop implementations a Network can run on.
 CORES = ("event", "stepped")
-
-_default_core = "event"
-
-
-def default_core() -> str:
-    """The core a :class:`Network` uses when none is passed."""
-    return _default_core
-
-
-def set_default_core(core: str) -> str:
-    """Set the process-wide default core; returns the previous value."""
-    global _default_core
-    if core not in CORES:
-        raise ValueError(f"unknown network core {core!r}; use one of {CORES}")
-    previous = _default_core
-    _default_core = core
-    return previous
-
-
-@contextmanager
-def network_core(core: str) -> Iterator[None]:
-    """Scoped :func:`set_default_core` (used by benches and tests)."""
-    previous = set_default_core(core)
-    try:
-        yield
-    finally:
-        set_default_core(previous)
 
 
 @dataclass(frozen=True)
@@ -139,10 +106,13 @@ class NoCConfig:
         link_latency: cycles a flit spends crossing a link (>= 1;
             models deeper router/link pipelines).
         core: pin the cycle-loop core ("event" or "stepped") for every
-            network built from this config; None defers to the
-            process-wide :func:`default_core`.  Being a config field
-            makes the core a sweepable campaign axis (``repro sweep
-            --cores``) that participates in cache keys.
+            network built from this config; None means ``"event"``.
+            There is no process-wide default any more: None used to
+            defer to a mutable module-level setting, so a network's
+            core could depend on what ran earlier in the process.
+            Being a config field makes the core a sweepable campaign
+            axis (``repro sweep --cores``) that participates in cache
+            keys.
     """
 
     width: int = 4
@@ -290,14 +260,14 @@ class Network:
     Args:
         config: structural parameters.
         core: cycle-loop implementation, ``"event"`` or ``"stepped"``;
-            ``None`` uses ``config.core`` when pinned, else
-            :func:`default_core`.
+            ``None`` uses ``config.core`` when pinned, else ``"event"``
+            (formerly a process-wide default that callers could change).
     """
 
     def __init__(self, config: NoCConfig, core: str | None = None) -> None:
         self.config = config
         if core is None:
-            core = config.core if config.core is not None else _default_core
+            core = config.core or "event"
         if core not in CORES:
             raise ValueError(
                 f"unknown network core {core!r}; use one of {CORES}"

@@ -2,9 +2,9 @@
 
 The subsystem has three parts:
 
-- :mod:`repro.obs.metrics` — a lightweight metrics registry (counters,
-  maxima/"gauges", histograms, timers) that the simulator, NoC cores,
-  codec, and campaign runner publish into when enabled.  Hot loops keep
+- :mod:`repro.obs.metrics` — a lightweight metrics registry (counters
+  and maxima/"gauges") that the simulator, NoC cores, codec, and
+  campaign runner publish into when enabled.  Hot loops keep
   plain integer attribute counters that cost nothing extra; the registry
   is the opt-in aggregation and serialisation layer on top.
 - :mod:`repro.obs.analytics` — vectorised analytics over

@@ -10,8 +10,9 @@ simulation output, so ``RunResult.metrics`` is byte-identical whether or
 not a registry is active and regardless of how many sweep workers ran
 the job.  The registry is the *aggregation* layer: code that has
 finished a unit of work publishes its counter snapshot into the active
-registry (one dict merge per run, not per cycle), and timers/histograms
-are only recorded when a registry is enabled.
+registry (one dict merge per run, not per cycle).  Wall-clock timings
+stay out of the registry; the ``perfbench/`` tracer measures them from
+outside.
 
 Metric names are flat dotted strings; the *family* is the prefix before
 the first dot (``event.heap_pushes`` belongs to family ``event``).
@@ -52,7 +53,6 @@ these ride inside the deterministic result payload, so a campaign's
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
@@ -95,18 +95,15 @@ def merge_metrics(
 
 
 class MetricsRegistry:
-    """Counters, maxima, histograms, and timers behind one namespace.
+    """Counters and maxima behind one namespace.
 
-    All four primitives live in a single flat name space so a registry
-    snapshot is one JSON-friendly dict.  Histograms and timers carry
-    derived scalars (count / total / min / max) rather than raw samples
-    to keep snapshots bounded.
+    Both primitives live in a single flat name space so a registry
+    snapshot is one JSON-friendly dict.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
         self._maxima: Dict[str, float] = {}
-        self._hists: Dict[str, Dict[str, float]] = {}
 
     # -- primitives ------------------------------------------------------
 
@@ -123,33 +120,6 @@ class MetricsRegistry:
         prev = self._maxima.get(name)
         if prev is None or value > prev:
             self._maxima[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one histogram sample for ``name``."""
-        hist = self._hists.get(name)
-        if hist is None:
-            self._hists[name] = {
-                "count": 1,
-                "total": value,
-                "min": value,
-                "max": value,
-            }
-            return
-        hist["count"] += 1
-        hist["total"] += value
-        if value < hist["min"]:
-            hist["min"] = value
-        if value > hist["max"]:
-            hist["max"] = value
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Time a block; records seconds as a histogram sample."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - start)
 
     def merge(self, snapshot: Dict[str, Any]) -> None:
         """Fold a flat counter snapshot (e.g. ``RunResult.metrics``) in.
@@ -168,17 +138,9 @@ class MetricsRegistry:
     # -- read side -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Flat dict of every metric, JSON-serialisable.
-
-        Histogram ``name`` flattens to ``name.count`` / ``name.total``
-        / ``name.min.peak`` / ``name.max.peak``.
-        """
+        """Flat dict of every metric, JSON-serialisable."""
         out: Dict[str, Any] = dict(self._counters)
         out.update(self._maxima)
-        for name, hist in self._hists.items():
-            out[f"{name}.count"] = hist["count"]
-            out[f"{name}.total"] = hist["total"]
-            out[f"{name}.max.peak"] = hist["max"]
         return out
 
     def families(self) -> Dict[str, Dict[str, Any]]:
@@ -189,7 +151,7 @@ class MetricsRegistry:
         return grouped
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._maxima) + len(self._hists)
+        return len(self._counters) + len(self._maxima)
 
 
 # One process-wide active registry.  ``None`` means disabled, which is

@@ -16,15 +16,15 @@ exist:
 On-disk format
 --------------
 
-Traces are versioned.  Version 1 is the legacy plain-JSON envelope
-(payloads as hex strings; wire images and cycles only).  Version 2 —
-the default — is a gzip-compressed JSON envelope whose payload arrays
-are packed as fixed-width words (``ceil(link_width / 8)`` bytes each,
-``byte_order`` recorded in the envelope) and base64-encoded, and which
-additionally carries per-hop VCs and packet ids, the packet injection
-schedule, and the recorded :class:`~repro.noc.network.NoCConfig`.
-:meth:`TrafficTrace.load` sniffs compression and dispatches on the
-version field; truncated or corrupt files of either version raise
+A trace file is a JSON envelope stamped with
+:data:`TRACE_FORMAT_VERSION` (2), gzip-compressed by default.  Its
+payload arrays are packed as fixed-width words (``ceil(link_width / 8)``
+bytes each, ``byte_order`` recorded in the envelope) and
+base64-encoded, and it carries per-hop VCs and packet ids, the packet
+injection schedule, and the recorded
+:class:`~repro.noc.network.NoCConfig`.  :meth:`TrafficTrace.load`
+sniffs compression and rejects any other version (including the
+retired plain-JSON version 1); truncated or corrupt files raise
 :class:`ValueError` rather than leaking codec internals.
 
 Offline, a trace supports exact BT recomputation (validated against the
@@ -90,9 +90,9 @@ __all__ = [
     "trace_slice",
 ]
 
-#: Default on-disk format version written by :meth:`TrafficTrace.save`.
+#: The on-disk format version :meth:`TrafficTrace.save` writes and
+#: :meth:`TrafficTrace.load` accepts.
 TRACE_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
 _BYTE_ORDERS = ("big", "little")
 _GZIP_MAGIC = b"\x1f\x8b"
 
@@ -304,8 +304,7 @@ class TrafficTrace:
         self,
         path: str | pathlib.Path,
         *,
-        version: int = TRACE_FORMAT_VERSION,
-        compress: bool | None = None,
+        compress: bool = True,
         byte_order: str = "big",
     ) -> None:
         """Write the trace to disk.
@@ -313,94 +312,70 @@ class TrafficTrace:
         Args:
             path: output file (convention: ``*.trace.gz`` for the
                 compressed default, ``*.trace.json`` for plain).
-            version: on-disk format version (2 default; 1 writes the
-                legacy plain-JSON envelope, which carries wire images
-                and cycles only — the replay fields don't fit it).
-            compress: gzip the envelope; defaults to True for v2 and
-                False for v1.  Either version loads either way.
+            compress: gzip the envelope (default); plain JSON loads
+                just the same.
             byte_order: "big" or "little" — word packing order of the
-                v2 payload arrays, recorded in the envelope so readers
+                payload arrays, recorded in the envelope so readers
                 never guess.
         """
-        if version not in _SUPPORTED_VERSIONS:
-            raise ValueError(
-                f"unsupported trace version {version!r}; "
-                f"use one of {_SUPPORTED_VERSIONS}"
-            )
         if byte_order not in _BYTE_ORDERS:
             raise ValueError(
                 f"unknown byte order {byte_order!r}; use one of "
                 f"{_BYTE_ORDERS}"
             )
-        if version == 1:
-            doc: dict[str, Any] = {
-                "version": 1,
-                "link_width": self.link_width,
-                "links": {
-                    name: [format(p, "x") for p in payloads]
-                    for name, payloads in self.links.items()
-                },
-                "cycles": {
-                    name: list(cycles)
-                    for name, cycles in self.cycles.items()
-                },
-            }
-        else:
-            # Wire images can exceed link_width (include_header_bits
-            # folds a side-band header above the payload), so the word
-            # size is computed from the widest recorded image and
-            # written into the envelope — never guessed by readers.
-            widest = self.link_width
-            for payloads in self.links.values():
-                arr = getattr(payloads, "array", None)
-                if arr is not None:
-                    if arr.size:
-                        top = int(arr.max()).bit_length()
-                        if top > widest:
-                            widest = top
-                    continue
-                for p in payloads:
-                    if p.bit_length() > widest:
-                        widest = p.bit_length()
-            for event in self.packets:
-                for p in event.payloads:
-                    if p.bit_length() > widest:
-                        widest = p.bit_length()
-            word_bytes = _word_bytes(widest)
-            doc = {
-                "version": 2,
-                "link_width": self.link_width,
-                "byte_order": byte_order,
-                "word_bytes": word_bytes,
-                "links": {
-                    name: _pack_words(payloads, word_bytes, byte_order)
-                    for name, payloads in self.links.items()
-                },
-                "cycles": {
-                    name: list(cycles)
-                    for name, cycles in self.cycles.items()
-                },
-                "vcs": {
-                    name: list(vcs) for name, vcs in self.vcs.items()
-                },
-                "packet_ids": {
-                    name: list(pids)
-                    for name, pids in self.packet_ids.items()
-                },
-                "packets": [
-                    [
-                        ev.cycle,
-                        ev.src,
-                        ev.dst,
-                        _pack_words(ev.payloads, word_bytes, byte_order),
-                    ]
-                    for ev in self.packets
-                ],
-                "noc": self.noc,
-            }
+        # Wire images can exceed link_width (include_header_bits
+        # folds a side-band header above the payload), so the word
+        # size is computed from the widest recorded image and
+        # written into the envelope — never guessed by readers.
+        widest = self.link_width
+        for payloads in self.links.values():
+            arr = getattr(payloads, "array", None)
+            if arr is not None:
+                if arr.size:
+                    top = int(arr.max()).bit_length()
+                    if top > widest:
+                        widest = top
+                continue
+            for p in payloads:
+                if p.bit_length() > widest:
+                    widest = p.bit_length()
+        for event in self.packets:
+            for p in event.payloads:
+                if p.bit_length() > widest:
+                    widest = p.bit_length()
+        word_bytes = _word_bytes(widest)
+        doc = {
+            "version": TRACE_FORMAT_VERSION,
+            "link_width": self.link_width,
+            "byte_order": byte_order,
+            "word_bytes": word_bytes,
+            "links": {
+                name: _pack_words(payloads, word_bytes, byte_order)
+                for name, payloads in self.links.items()
+            },
+            "cycles": {
+                name: list(cycles)
+                for name, cycles in self.cycles.items()
+            },
+            "vcs": {
+                name: list(vcs) for name, vcs in self.vcs.items()
+            },
+            "packet_ids": {
+                name: list(pids)
+                for name, pids in self.packet_ids.items()
+            },
+            "packets": [
+                [
+                    ev.cycle,
+                    ev.src,
+                    ev.dst,
+                    _pack_words(ev.payloads, word_bytes, byte_order),
+                ]
+                for ev in self.packets
+            ],
+            "noc": self.noc,
+        }
         raw = json.dumps(doc).encode("utf-8")
-        if compress is None:
-            compress = version >= 2
         if compress:
             # Fixed mtime keeps the bytes content-addressable: the same
             # trace always hashes to the same digest.
@@ -411,7 +386,7 @@ class TrafficTrace:
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "TrafficTrace":
-        """Read a trace written by :meth:`save` (any version).
+        """Read a trace written by :meth:`save`.
 
         Compression is sniffed from the gzip magic, so renamed files
         load fine.  Truncated or corrupt files — torn writes, partial
@@ -450,36 +425,20 @@ class TrafficTrace:
                 f"not an object"
             )
         version = doc.get("version")
-        if version not in _SUPPORTED_VERSIONS:
+        if version != TRACE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace version {version!r} in {path}; "
-                f"supported: {_SUPPORTED_VERSIONS}"
+                f"supported: {TRACE_FORMAT_VERSION}"
             )
         try:
-            if version == 1:
-                return cls._from_v1(doc)
-            return cls._from_v2(doc)
+            return cls._from_doc(doc)
         except (KeyError, TypeError, ValueError, binascii.Error) as exc:
             raise ValueError(
                 f"truncated or corrupt trace file {path}: {exc}"
             ) from exc
 
     @classmethod
-    def _from_v1(cls, doc: dict[str, Any]) -> "TrafficTrace":
-        return cls(
-            link_width=int(doc["link_width"]),
-            links={
-                name: tuple(int(p, 16) for p in payloads)
-                for name, payloads in doc["links"].items()
-            },
-            cycles={
-                name: tuple(int(c) for c in cycles)
-                for name, cycles in doc.get("cycles", {}).items()
-            },
-        )
-
-    @classmethod
-    def _from_v2(cls, doc: dict[str, Any]) -> "TrafficTrace":
+    def _from_doc(cls, doc: dict[str, Any]) -> "TrafficTrace":
         link_width = int(doc["link_width"])
         byte_order = doc["byte_order"]
         if byte_order not in _BYTE_ORDERS:
@@ -662,7 +621,7 @@ def replay_through_network(
     Args:
         trace: a full-fidelity (TraceRecorder) capture.
         core: cycle-loop core for the replay network; None uses the
-            trace's recorded core setting / process default.
+            trace's recorded core setting, else "event".
         ordering: "none" replays the traffic verbatim;
             "popcount_desc" re-applies the paper's descending
             '1'-count ordering to each packet's payloads before

@@ -450,6 +450,34 @@ class TestSimulatorCodecEquivalence:
             "ordering": OrderingMethod.SEPARATED,
             "extra": {"model_ordering_latency": True},
         },
+        # The Fig. 12 points the retired CI scalar-codec bench smoke
+        # compared: trained LeNet, fixed8, seed 2025, MC2 meshes.
+        {
+            "data_format": "fixed8",
+            "ordering": OrderingMethod.BASELINE,
+            "seed": 2025,
+        },
+        {
+            "data_format": "fixed8",
+            "ordering": OrderingMethod.SEPARATED,
+            "seed": 2025,
+        },
+        {
+            "data_format": "fixed8",
+            "ordering": OrderingMethod.SEPARATED,
+            "seed": 2025,
+            "width": 8,
+            "height": 8,
+            "max_tasks_per_layer": 2,
+        },
+        {
+            "data_format": "fixed8",
+            "ordering": OrderingMethod.SEPARATED,
+            "seed": 2025,
+            "width": 12,
+            "height": 12,
+            "max_tasks_per_layer": 2,
+        },
     ]
 
     @pytest.mark.parametrize(

@@ -25,6 +25,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["run-noc", "--mesh", "four-by-four", "--tasks", "1"])
 
+    def test_bench_subcommand_is_gone(self, capsys):
+        """Benchmarks live in perfbench/; the CLI has no bench command."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table2(self, capsys):
@@ -410,7 +417,7 @@ class TestTraceReplayCLI:
         with pytest.raises(SystemExit, match="--codings"):
             main(["sweep", "--codings", "delta"])
 
-    def test_coding_cross_network_core_rejected_up_front(
+    def test_coding_cross_live_core_rejected_up_front(
         self, tmp_path, capsys
     ):
         """A coding x network-core cross product would abort the whole

@@ -24,20 +24,14 @@ from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.simulator import AcceleratorSimulator
 from repro.dnn.models import build_model
 from repro.noc.flit import make_packet
-from repro.noc.network import (
-    CORES,
-    Network,
-    NoCConfig,
-    default_core,
-    network_core,
-    set_default_core,
-)
+from repro.noc.network import CORES, Network, NoCConfig
 from repro.noc.traffic import (
     SyntheticTrafficConfig,
     TrafficPattern,
     drive_synthetic,
 )
 from repro.ordering.strategies import OrderingMethod
+from repro.workloads.figures import figure_lenet_image, figure_trained_lenet
 
 # Unique packet ids for hand-built test traffic.
 _IDS = itertools.count()
@@ -47,8 +41,9 @@ def run_synthetic_pair(traffic: SyntheticTrafficConfig, noc: NoCConfig):
     """The same synthetic run under both cores."""
     networks = {}
     for core in CORES:
-        with network_core(core):
-            networks[core] = drive_synthetic(traffic, noc)
+        networks[core] = drive_synthetic(
+            traffic, dataclasses.replace(noc, core=core)
+        )
     return networks["event"], networks["stepped"]
 
 
@@ -72,8 +67,11 @@ def assert_networks_equal(event: Network, stepped: Network) -> None:
 
 class TestCoreSelection:
     def test_default_core_is_event(self):
-        assert default_core() == "event"
         assert Network(NoCConfig(width=2, height=2)).event_core
+
+    def test_config_pins_core(self):
+        net = Network(NoCConfig(width=2, height=2, core="stepped"))
+        assert net.core == "stepped"
 
     def test_explicit_core_argument(self):
         net = Network(NoCConfig(width=2, height=2), core="stepped")
@@ -84,13 +82,35 @@ class TestCoreSelection:
         with pytest.raises(ValueError, match="unknown network core"):
             Network(NoCConfig(width=2, height=2), core="warp")
         with pytest.raises(ValueError, match="unknown network core"):
-            set_default_core("warp")
+            NoCConfig(width=2, height=2, core="warp")
 
-    def test_network_core_scope_restores(self):
-        before = default_core()
-        with network_core("stepped"):
-            assert default_core() == "stepped"
-        assert default_core() == before
+    def test_explicit_core_argument_overrides_config(self):
+        net = Network(NoCConfig(width=2, height=2, core="stepped"),
+                      core="event")
+        assert net.core == "event"
+        assert net.event_core
+
+    def test_core_choice_leaves_no_process_state(self):
+        """Picking a core is per network: a stepped network built (and
+        run) earlier in the process does not change what the next
+        unpinned network, or the next unpinned config, runs on."""
+        stepped = Network(
+            NoCConfig(width=2, height=2, link_width=32, core="stepped")
+        )
+        stepped.send_packet(make_packet(0, 3, [5], 32, packet_id=next(_IDS)))
+        stepped.run_until_drained()
+        assert stepped.steps_executed == stepped.stats.cycles
+        assert Network(NoCConfig(width=2, height=2)).core == "event"
+        assert AcceleratorConfig().noc_config().core is None
+
+    def test_accelerator_config_core_reaches_network(self):
+        base = AcceleratorConfig(core="stepped")
+        assert base.noc_config().core == "stepped"
+        assert Network(base.noc_config()).core == "stepped"
+
+    def test_unknown_accelerator_core_rejected(self):
+        with pytest.raises(ValueError, match="unknown network core"):
+            AcceleratorConfig(core="warp")
 
 
 SYNTHETIC_MATRIX = [
@@ -132,6 +152,19 @@ SYNTHETIC_MATRIX = [
              injection_window=10),
         dict(n_vcs=1, vc_depth=2),
     ),
+    # The synthetic injection-rate points of the retired CI bench
+    # smoke: a fixed packet count on an 8x8 mesh of 128-bit links, one
+    # busy and one idle-dominated window.
+    (
+        "mesh8_w128_window100",
+        dict(n_packets=30, injection_window=100, seed=7),
+        dict(width=8, height=8, link_width=128),
+    ),
+    (
+        "mesh8_w128_window2000",
+        dict(n_packets=30, injection_window=2000, seed=7),
+        dict(width=8, height=8, link_width=128),
+    ),
 ]
 
 
@@ -142,8 +175,10 @@ class TestSyntheticEquivalence:
         ids=[row[0] for row in SYNTHETIC_MATRIX],
     )
     def test_matrix(self, label, traffic_kw, noc_kw):
-        traffic = SyntheticTrafficConfig(seed=11, **traffic_kw)
-        noc = NoCConfig(width=4, height=4, link_width=64, **noc_kw)
+        traffic = SyntheticTrafficConfig(**{"seed": 11, **traffic_kw})
+        noc = NoCConfig(
+            **{"width": 4, "height": 4, "link_width": 64, **noc_kw}
+        )
         event, stepped = run_synthetic_pair(traffic, noc)
         assert_networks_equal(event, stepped)
 
@@ -161,39 +196,78 @@ class TestSyntheticEquivalence:
         noc = NoCConfig(width=4, height=1, link_width=32, link_latency=5)
         results = {}
         for core in CORES:
-            with network_core(core):
-                net = Network(noc)
-                net.send_packet(
-                    make_packet(0, 3, [7, 9], 32, packet_id=next(_IDS))
-                )
-                net.send_packet(
-                    make_packet(1, 3, [3], 32, packet_id=next(_IDS))
-                )
-                net.run_until_drained()
-                results[core] = net
+            net = Network(noc, core=core)
+            net.send_packet(
+                make_packet(0, 3, [7, 9], 32, packet_id=next(_IDS))
+            )
+            net.send_packet(
+                make_packet(1, 3, [3], 32, packet_id=next(_IDS))
+            )
+            net.run_until_drained()
+            results[core] = net
         assert_networks_equal(results["event"], results["stepped"])
         # 3 hops at 5 cycles each plus router stages: latency must
         # reflect the link pipeline under both cores.
         assert results["event"].stats.cycles > 15
 
 
+# (label, model, overrides of the 3x3 MC1 O2 3-task base point).
+# "random" is a seeded random-weight LeNet; the "trained" rows are the
+# multi-MC trained-LeNet points of the Fig. 12 grids (the 2-task 4x4
+# row is the Fig. 13 LeNet point), where several MCs inject at once
+# and routes cross the mesh.
 ACCEL_MATRIX = [
-    ("defaults", {}),
-    ("count_desc", dict(packet_scheduling="count_desc")),
-    ("pipelined", dict(layer_barrier=False)),
-    ("no_responses", dict(include_responses=False, compute_delay=0)),
-    ("compute_delay_7", dict(compute_delay=7)),
+    ("defaults", "random", {}),
+    ("count_desc", "random", dict(packet_scheduling="count_desc")),
+    ("pipelined", "random", dict(layer_barrier=False)),
+    (
+        "no_responses",
+        "random",
+        dict(include_responses=False, compute_delay=0),
+    ),
+    ("compute_delay_7", "random", dict(compute_delay=7)),
     (
         "weight_cache",
+        "random",
         dict(weight_cache=True, mapping_policy="group_affine"),
     ),
-    ("ordering_latency", dict(extra={"model_ordering_latency": True})),
+    (
+        "ordering_latency",
+        "random",
+        dict(extra={"model_ordering_latency": True}),
+    ),
+    (
+        "trained_4x4_mc2_O0",
+        "trained",
+        dict(width=4, height=4, n_mcs=2, max_tasks_per_layer=4,
+             ordering=OrderingMethod.BASELINE),
+    ),
+    (
+        "trained_4x4_mc2_O2",
+        "trained",
+        dict(width=4, height=4, n_mcs=2, max_tasks_per_layer=4),
+    ),
+    (
+        "trained_4x4_mc2_O2_2tasks",
+        "trained",
+        dict(width=4, height=4, n_mcs=2, max_tasks_per_layer=2),
+    ),
+    (
+        "trained_8x8_mc2_O2",
+        "trained",
+        dict(width=8, height=8, n_mcs=2, max_tasks_per_layer=2),
+    ),
+    (
+        "trained_12x12_mc2_O2",
+        "trained",
+        dict(width=12, height=12, n_mcs=2, max_tasks_per_layer=2),
+    ),
 ]
 
 
 class TestAcceleratorEquivalence:
     @pytest.fixture(scope="class")
-    def workload(self):
+    def random_lenet(self):
         model = build_model("lenet", rng=np.random.default_rng(9))
         image = (
             np.random.default_rng(5)
@@ -202,14 +276,18 @@ class TestAcceleratorEquivalence:
         )
         return model, image
 
+    @pytest.fixture(scope="class")
+    def trained_lenet(self):
+        return figure_trained_lenet(), figure_lenet_image()
+
     @pytest.mark.parametrize(
-        "label,overrides",
+        "label,model_kind,overrides",
         ACCEL_MATRIX,
         ids=[row[0] for row in ACCEL_MATRIX],
     )
-    def test_matrix(self, workload, label, overrides):
-        model, image = workload
-        config = AcceleratorConfig(
+    def test_matrix(self, request, label, model_kind, overrides):
+        model, image = request.getfixturevalue(f"{model_kind}_lenet")
+        base = dict(
             width=3,
             height=3,
             n_mcs=1,
@@ -217,13 +295,12 @@ class TestAcceleratorEquivalence:
             ordering=OrderingMethod.SEPARATED,
             max_tasks_per_layer=3,
             seed=2025,
-            **overrides,
         )
         results = {}
         for core in CORES:
-            with network_core(core):
-                sim = AcceleratorSimulator(config, model, image)
-                results[core] = sim.run()
+            config = AcceleratorConfig(**{**base, **overrides, "core": core})
+            sim = AcceleratorSimulator(config, model, image)
+            results[core] = sim.run()
         event, stepped = results["event"], results["stepped"]
         assert event.total_cycles == stepped.total_cycles
         assert event.total_bit_transitions == stepped.total_bit_transitions
@@ -331,3 +408,41 @@ class TestReplayConformanceMatrix:
         if link_latency == 1:
             # Recorded latency: the replay reproduces the capture.
             assert ledgers["event"] == trace.per_link_transitions()
+
+    @pytest.fixture(scope="class")
+    def synthetic_trace(self):
+        """The retired CI bench smoke's replay point: a bursty uniform
+        run on an 8x8 mesh of 128-bit links."""
+        from repro.noc.recorder import TraceRecorder
+
+        recorder = TraceRecorder()
+        network = drive_synthetic(
+            SyntheticTrafficConfig(
+                pattern=TrafficPattern.UNIFORM_RANDOM,
+                n_packets=40,
+                injection_window=60,
+                seed=13,
+            ),
+            NoCConfig(width=8, height=8, link_width=128),
+            trace_collector=recorder,
+        )
+        return recorder.finish(network.config)
+
+    @pytest.mark.parametrize("ordering", ["none", "popcount_desc"])
+    def test_synthetic_trace_replays_identically(
+        self, synthetic_trace, ordering
+    ):
+        from repro.workloads.traces import replay_through_network
+
+        networks = {
+            core: replay_through_network(
+                synthetic_trace, core=core, ordering=ordering
+            )
+            for core in CORES
+        }
+        assert_networks_equal(networks["event"], networks["stepped"])
+        if ordering == "none":
+            assert (
+                networks["event"].ledger.per_link()
+                == synthetic_trace.per_link_transitions()
+            )

@@ -1,9 +1,9 @@
 """Tests for repro.workloads.traces (capture, persistence, replay).
 
 The persistence section is property-based: arbitrary flit sequences
-must survive write -> read byte-identically across format versions,
-byte orders, and compression settings, and truncated or corrupt files
-of any flavour must fail with a clean :class:`ValueError`.
+must survive write -> read byte-identically across byte orders and
+compression settings, and truncated or corrupt files of any flavour
+must fail with a clean :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.simulator import AcceleratorSimulator
 from repro.noc.flit import make_packet
-from repro.noc.network import CORES, Network, NoCConfig, network_core
+from repro.noc.network import CORES, Network, NoCConfig
 from repro.noc.recorder import TraceRecorder
 from repro.ordering.strategies import OrderingMethod
 from repro.workloads.traces import (
+    TRACE_FORMAT_VERSION,
     PacketEvent,
     TraceCollector,
     TrafficTrace,
@@ -147,10 +148,39 @@ class TestPersistence:
         )
 
     def test_version_check(self, tmp_path):
+        # Version 1 (the retired plain-JSON envelope) is rejected like
+        # any unknown version.
         path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "link_width": 8, "links": {}}')
-        with pytest.raises(ValueError):
+        for version in (1, 99):
+            path.write_text(json.dumps(
+                {"version": version, "link_width": 8, "links": {}}
+            ))
+            with pytest.raises(ValueError,
+                               match="unsupported trace version"):
+                TrafficTrace.load(path)
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [{"version": "2"}, {}],
+        ids=["string_version", "missing_version"],
+    )
+    def test_version_must_be_the_integer_constant(self, tmp_path, envelope):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {**envelope, "link_width": 8, "links": {}}
+        ))
+        with pytest.raises(ValueError, match="unsupported trace version"):
             TrafficTrace.load(path)
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_save_stamps_current_version(self, tmp_path, compress):
+        _, trace = traced_network()
+        path = tmp_path / "run.trace"
+        trace.save(path, compress=compress)
+        raw = path.read_bytes()
+        assert raw.startswith(b"\x1f\x8b") == compress
+        doc = json.loads(gzip.decompress(raw) if compress else raw)
+        assert doc["version"] == TRACE_FORMAT_VERSION == 2
 
 
 def recorded_network() -> tuple[Network, TrafficTrace]:
@@ -258,18 +288,6 @@ class TestRoundTripProperties:
         assert TrafficTrace.load(path) == trace
 
     @settings(deadline=None, max_examples=25)
-    @given(trace=arbitrary_traces(), compress=st.booleans())
-    def test_v1_round_trip_wire_images(self, tmp_path_factory, trace,
-                                       compress):
-        """The legacy envelope preserves wire images and cycles."""
-        path = tmp_path_factory.mktemp("rt1") / "t.trace.json"
-        trace.save(path, version=1, compress=compress)
-        loaded = TrafficTrace.load(path)
-        assert loaded.link_width == trace.link_width
-        assert loaded.links == trace.links
-        assert loaded.cycles == trace.cycles
-
-    @settings(deadline=None, max_examples=25)
     @given(trace=arbitrary_traces(replayable=True))
     def test_byte_orders_agree(self, tmp_path_factory, trace):
         """Endianness is an encoding detail, never a semantic one."""
@@ -305,11 +323,6 @@ class TestRoundTripProperties:
         trace = TrafficTrace(link_width=8, links={"R0.EAST": (1, 2)})
         with pytest.raises(ValueError, match="byte order"):
             trace.save(tmp_path / "t", byte_order="middle")
-
-    def test_unknown_version_rejected_on_save(self, tmp_path):
-        trace = TrafficTrace(link_width=8, links={})
-        with pytest.raises(ValueError, match="version"):
-            trace.save(tmp_path / "t", version=3)
 
     def test_corrupt_base64_fails_cleanly(self, tmp_path):
         path = tmp_path / "bad.trace"
@@ -427,11 +440,28 @@ class TestReplayThroughNetwork:
                 == net.stats.total_bit_transitions
             )
 
-    def test_replay_honours_process_default_core(self):
+    def test_replay_core_follows_recorded_config(self):
         _, trace = recorded_network()
-        with network_core("stepped"):
-            replayed = replay_through_network(trace)
-        assert replayed.core == "stepped"
+        assert replay_through_network(trace).core == "event"
+        pinned = replay_through_network(trace, overrides={"core": "stepped"})
+        assert pinned.core == "stepped"
+
+    def test_core_argument_overrides_recorded_core(self):
+        net = Network(NoCConfig(width=3, height=3, link_width=64,
+                                core="stepped"))
+        net.trace_collector = TraceRecorder()
+        net.send_packet(make_packet(0, 8, [3, 12], 64, packet_id=next(_IDS)))
+        net.run_until_drained()
+        trace = net.trace_collector.finish(net.config)
+        assert replay_through_network(trace).core == "stepped"
+        replayed = replay_through_network(trace, core="event")
+        assert replayed.core == "event"
+        assert replayed.ledger.per_link() == net.ledger.per_link()
+
+    def test_unknown_replay_core_rejected(self):
+        _, trace = recorded_network()
+        with pytest.raises(ValueError, match="unknown network core"):
+            replay_through_network(trace, core="warp")
 
     def test_replay_with_overrides_changes_timing_not_payloads(self):
         net, trace = recorded_network()
