@@ -14,6 +14,7 @@ from repro.accelerator.simulator import (
     RunResult,
     aggregate_results,
     run_batch_on_noc,
+    run_codings,
     run_model_on_noc,
 )
 from repro.accelerator.tasks import LayerTasks, NeuronTask, extract_tasks
@@ -34,6 +35,7 @@ __all__ = [
     "RunResult",
     "aggregate_results",
     "run_batch_on_noc",
+    "run_codings",
     "run_model_on_noc",
     "LayerTasks",
     "NeuronTask",

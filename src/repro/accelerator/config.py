@@ -8,13 +8,20 @@ link setups are captured by :func:`link_width_for`: 512-bit links carry
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.noc.network import CORES, NoCConfig
 from repro.ordering.strategies import FillOrder, OrderingMethod
 
-__all__ = ["AcceleratorConfig", "link_width_for", "TASK_CODECS", "VALUES_PER_FLIT"]
+__all__ = [
+    "AcceleratorConfig",
+    "CODING_FIELDS",
+    "link_width_for",
+    "TASK_CODECS",
+    "VALUES_PER_FLIT",
+]
 
 # Both paper link configurations carry 16 values per flit.
 VALUES_PER_FLIT = 16
@@ -24,6 +31,10 @@ VALUES_PER_FLIT = 16
 # is retained as the bit-exact oracle — the codec twin of the NoC's
 # "event"/"stepped" core pair.
 TASK_CODECS = ("batch", "scalar")
+
+#: Fields that change what flits carry, never when they move: the
+#: paper's orderings only permute payload within a packet.
+CODING_FIELDS = ("ordering", "data_format", "fill_order", "codec")
 
 
 def link_width_for(data_format: str, values_per_flit: int = VALUES_PER_FLIT) -> int:
@@ -158,6 +169,24 @@ class AcceleratorConfig:
     def pairs_per_flit(self) -> int:
         """(input, weight) pairs per flit under half-half flitisation."""
         return self.values_per_flit // 2
+
+    def timing_signature(self) -> str:
+        """Canonical JSON of the config minus :data:`CODING_FIELDS`.
+
+        Configs with one signature schedule the same flits on the same
+        cycles, as long as their codings give every packet the same
+        flit count and release cycle (see
+        :func:`repro.accelerator.simulator.run_codings`).  ``core``
+        stays in: a cross-core sweep must run both cores.
+        """
+        return json.dumps(
+            {
+                name: value
+                for name, value in self.to_dict().items()
+                if name not in CODING_FIELDS
+            },
+            sort_keys=True,
+        )
 
     def noc_config(self) -> NoCConfig:
         """Derive the NoC structural configuration."""

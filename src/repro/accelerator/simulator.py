@@ -12,13 +12,18 @@ The run verifies functional correctness end-to-end: every MAC computed
 from *transmitted bits* must equal the reference computed from the
 originally encoded words, which proves affiliated-ordering needs no
 recovery and separated-ordering's index recovery works.
+
+Orderings only permute payload within a packet, so configs that differ
+only in their coding move every flit on the same cycles:
+:func:`run_codings` simulates such a group once and scores the other
+codings on the captured schedule.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -39,10 +44,16 @@ from repro.bits.lanes import lane_fast_path
 from repro.obs.metrics import active_registry
 from repro.dnn.models import ModelSpec
 from repro.dnn.quantize import tensor_format
-from repro.noc.flit import Packet, make_packet
+from repro.noc.flit import Flit, Packet, make_packet
 from repro.noc.network import Network, SimulationTimeout
 
-__all__ = ["LayerSummary", "RunResult", "AcceleratorSimulator", "run_model_on_noc"]
+__all__ = [
+    "LayerSummary",
+    "RunResult",
+    "AcceleratorSimulator",
+    "run_codings",
+    "run_model_on_noc",
+]
 
 
 @dataclass(frozen=True)
@@ -242,6 +253,11 @@ class _TaskRecord:
     computed: float | None = None
     response_received: bool = False
 
+    def settle(self) -> None:
+        """Sum the partial MACs in chunk order, so the result does not
+        depend on the order the chunks arrived in."""
+        self.computed = sum(self.partials[c] for c in range(self.n_chunks))
+
 
 @dataclass(slots=True)
 class _ChunkJob:
@@ -266,8 +282,52 @@ class _ChunkJob:
     decoded: object | None = None
 
 
+class _ScheduleCapture:
+    """Trace hook that records when flits move, not what they carry.
+
+    Per recorded link, every flit that crossed it with its cycle, in
+    traversal order; and every packet queued for injection with its
+    send cycle.  :func:`run_codings` attaches one to a signature's
+    shared run and drops it when the signature is scored.
+    """
+
+    def __init__(self) -> None:
+        self.hops: dict[str, list[tuple[Flit, int]]] = {}
+        self.sends: list[tuple[int, Packet]] = []
+
+    def record(
+        self, link_name: str, bits: int, cycle: int, vc: int, flit: Flit
+    ) -> None:
+        hops = self.hops.get(link_name)
+        if hops is None:
+            hops = self.hops[link_name] = []
+        hops.append((flit, cycle))
+
+    def record_send(self, cycle: int, packet: Packet) -> None:
+        self.sends.append((cycle, packet))
+
+    def requests(self) -> list[tuple[int, int, int, int]]:
+        """(send cycle, task id, chunk index, flit count) of every
+        request packet, in send order."""
+        return [
+            (
+                cycle,
+                packet.metadata["task_id"],
+                packet.metadata["chunk_index"],
+                len(packet.flits),
+            )
+            for cycle, packet in self.sends
+            if packet.metadata["kind"] != "response"
+        ]
+
+
 class AcceleratorSimulator:
-    """Drives one model + configuration through the NoC."""
+    """Drives one model + configuration through the NoC.
+
+    ``layer_tasks`` may hand in tasks already extracted for the same
+    model, image, ``max_tasks_per_layer`` and ``seed``; configs of one
+    timing signature share them in :func:`run_codings`.
+    """
 
     def __init__(
         self,
@@ -275,6 +335,7 @@ class AcceleratorSimulator:
         model: ModelSpec,
         sample_image: np.ndarray,
         placement: Placement | None = None,
+        layer_tasks: list[LayerTasks] | None = None,
     ) -> None:
         self.config = config
         self.model = model
@@ -292,17 +353,29 @@ class AcceleratorSimulator:
                 f"config mesh {config.width}x{config.height}"
             )
         self.placement: Placement = placement
-        self.layer_tasks: list[LayerTasks] = extract_tasks(
-            model,
-            sample_image,
-            max_tasks_per_layer=config.max_tasks_per_layer,
-            seed=config.seed,
-        )
+        if layer_tasks is None:
+            layer_tasks = extract_tasks(
+                model,
+                sample_image,
+                max_tasks_per_layer=config.max_tasks_per_layer,
+                seed=config.seed,
+            )
+        self.layer_tasks: list[LayerTasks] = layer_tasks
         self.codec = TaskCodec(
             values_per_flit=config.values_per_flit,
             word_width=config.word_width,
             include_index_payload=config.include_index_payload,
         )
+        self._formats = self._build_formats()
+        self._reset_run_state()
+
+    def _reset_run_state(self) -> None:
+        """Start a run from scratch: MC knowledge, units and counters.
+
+        Every run calls this first, so a simulator run twice gives two
+        identical results.
+        """
+        config = self.config
         self.orderers = {
             mc: OrderingUnit(
                 self.codec,
@@ -312,7 +385,6 @@ class AcceleratorSimulator:
             )
             for mc in self.placement.mc_nodes
         }
-        self._formats = self._build_formats()
         # Weight blocks already shipped to each PE (MC-side knowledge
         # used by the weight-stationary dataflow).
         self._mc_sent_keys: dict[int, set[tuple]] = {
@@ -364,6 +436,7 @@ class AcceleratorSimulator:
                 receives every recorded wire image (Fig. 7's packet
                 traffic trace output).
         """
+        self._reset_run_state()
         network = Network(self.config.noc_config())
         network.trace_collector = trace_collector
         records: dict[int, _TaskRecord] = {}
@@ -374,7 +447,6 @@ class AcceleratorSimulator:
         # Outstanding-task counter for the drain loop: O(1) per-cycle
         # termination check instead of re-scanning every task record.
         counters = {"outstanding": 0}
-        response_fmt = Float32Format()
         weight_cache = self.config.weight_cache
 
         def complete_task(record: _TaskRecord) -> None:
@@ -401,23 +473,14 @@ class AcceleratorSimulator:
             )
             if len(record.partials) < record.n_chunks:
                 return
-            # All chunks arrived: sum partials in chunk order so the
-            # result is deterministic regardless of arrival order.
-            record.computed = sum(
-                record.partials[c] for c in range(record.n_chunks)
-            )
+            record.settle()
             if not self.config.include_responses:
                 complete_task(record)
                 return
-            payload = int(
-                response_fmt.encode(
-                    np.array([record.computed], dtype=np.float32)
-                )[0]
-            )
             response = make_packet(
                 src=record.pe,
                 dst=record.mc,
-                payloads=[payload],
+                payloads=[_response_payload(record.computed)],
                 width=self.config.link_width,
                 metadata={"kind": "response", "task_id": record.task.task_id},
                 packet_id=next(packet_ids),
@@ -432,15 +495,7 @@ class AcceleratorSimulator:
             record: _TaskRecord = records[meta["task_id"]]
             chunk_index = meta["chunk_index"]
             key = meta.get("cache_key")
-            operands = record.decoded.pop(chunk_index, None)
-            if operands is not None:
-                # Arrival-plane fast path: the operands were recovered
-                # from this chunk's payload bits in a grouped decode
-                # pass (see _encode_jobs).
-                self.codec_decode_batch_chunks += 1
-            else:
-                operands = self._decode_operands(record, chunk_index)
-                self.codec_decode_scalar_chunks += 1
+            operands = self._chunk_operands(record, chunk_index)
             if kind == "task":
                 input_values, weight_values, bias = operands
                 finish_chunk(
@@ -544,46 +599,178 @@ class AcceleratorSimulator:
                     cycles=network.cycle,
                 )
             )
-        total_ordering_latency = sum(
+        stats = network.stats
+        metrics = network.metrics_snapshot()
+        metrics.update(self._codec_metrics())
+        return _published(
+            RunResult(
+                config=self.config,
+                total_bit_transitions=stats.total_bit_transitions,
+                total_cycles=network.cycle,
+                flit_hops=stats.flit_hops,
+                layers=summaries,
+                tasks_verified=_count_verified(records.values()),
+                tasks_total=len(records),
+                mean_packet_latency=stats.mean_latency,
+                ordering_latency_cycles=self._ordering_latency(),
+                per_link=network.ledger.per_link(),
+                steps_executed=network.steps_executed,
+                idle_cycles_skipped=network.idle_cycles_skipped,
+                metrics=metrics,
+            )
+        )
+
+    def _ordering_latency(self) -> int:
+        return sum(
             unit.total_latency_cycles for unit in self.orderers.values()
         )
 
-        verified = 0
-        for record in records.values():
-            if record.computed is None:
-                continue
-            if abs(record.computed - record.reference) <= 1e-9 * max(
-                1.0, abs(record.reference)
+    def _codec_metrics(self) -> dict[str, int]:
+        return {
+            "codec.batch_groups": self.codec_batch_groups,
+            "codec.batch_chunks": self.codec_batch_chunks,
+            "codec.scalar_chunks": self.codec_scalar_chunks,
+            "codec.fallback_chunks": self.codec_fallback_chunks,
+            "codec.decode_batch_chunks": self.codec_decode_batch_chunks,
+            "codec.decode_scalar_chunks": self.codec_decode_scalar_chunks,
+        }
+
+    def _score_on(
+        self, shared: RunResult, capture: _ScheduleCapture
+    ) -> RunResult | None:
+        """This config's result on another run's schedule, or None.
+
+        ``shared`` ran a config with the same timing signature under
+        ``capture``.  This config's request packets are encoded and
+        queued exactly as :meth:`run` would queue them.  The NoC never
+        looks at payloads, so if every request packet has the shared
+        run's flit count, release cycle and queue position, this run
+        would move every flit exactly as the shared run did: MACs are
+        verified chunk by chunk as the PE sink does, and BTs are
+        scored on the captured per-link flit sequences, per layer by
+        the barrier windows' cycles.  Any mismatch (payload-sorted
+        scheduling, in-band index flits, modelled ordering latency)
+        returns None and the caller runs this config in full.
+        """
+        self._reset_run_state()
+        config = self.config
+        if config.layer_barrier:
+            starts = itertools.accumulate(
+                (layer.cycles for layer in shared.layers), initial=0
+            )
+            batches = [
+                (lt.tasks, start)
+                for lt, start in zip(self.layer_tasks, starts)
+            ]
+        else:
+            batches = [([t for lt in self.layer_tasks for t in lt.tasks], 0)]
+        records: dict[int, _TaskRecord] = {}
+        requests: list[tuple[int, Packet]] = []
+        packet_ids = itertools.count()
+        for tasks, start in batches:
+            pending = _PendingQueue()
+            for record in self._encode_tasks(
+                tasks, start, pending, packet_ids
             ):
-                verified += 1
-        stats = network.stats
-        metrics = network.metrics_snapshot()
-        metrics["codec.batch_groups"] = self.codec_batch_groups
-        metrics["codec.batch_chunks"] = self.codec_batch_chunks
-        metrics["codec.scalar_chunks"] = self.codec_scalar_chunks
-        metrics["codec.fallback_chunks"] = self.codec_fallback_chunks
-        metrics["codec.decode_batch_chunks"] = self.codec_decode_batch_chunks
-        metrics["codec.decode_scalar_chunks"] = (
-            self.codec_decode_scalar_chunks
+                records[record.task.task_id] = record
+            self._schedule_pending(pending)
+            while pending:
+                requests.append((pending.next_release(), pending.pop()))
+        mine = [
+            (
+                release,
+                packet.metadata["task_id"],
+                packet.metadata["chunk_index"],
+                len(packet.flits),
+            )
+            for release, packet in requests
+        ]
+        if mine != capture.requests():
+            return None
+
+        # PE side: each weight block reaches a PE in full once per run,
+        # so an input-only chunk's partial does not depend on arrival
+        # order.
+        weights_at: dict[tuple[int, tuple], tuple[np.ndarray, float]] = {}
+        inputs_only = []
+        for _, packet in requests:
+            meta = packet.metadata
+            record = records[meta["task_id"]]
+            chunk = meta["chunk_index"]
+            operands = self._chunk_operands(record, chunk)
+            if meta["kind"] == "task_inputs":
+                inputs_only.append(
+                    (record, chunk, meta["cache_key"], operands)
+                )
+                continue
+            inputs, weights, bias = operands
+            record.partials[chunk] = _mac(inputs, weights, bias)
+            weights_at[(record.pe, meta["cache_key"])] = (weights, bias)
+        for record, chunk, key, inputs in inputs_only:
+            weights, bias = weights_at[(record.pe, key)]
+            record.partials[chunk] = _mac(inputs, weights, bias)
+        for record in records.values():
+            record.settle()
+
+        # Wire images: this config's payloads under the shared ids.
+        wire: dict[int, list[int]] = {}
+        own = iter(requests)
+        for _, packet in capture.sends:
+            meta = packet.metadata
+            if meta["kind"] == "response":
+                computed = records[meta["task_id"]].computed
+                wire[packet.packet_id] = [_response_payload(computed)]
+            else:
+                wire[packet.packet_id] = [
+                    flit.payload for flit in next(own)[1].flits
+                ]
+        ends = list(
+            itertools.accumulate(layer.cycles for layer in shared.layers)
         )
-        registry = active_registry()
-        if registry is not None:
-            registry.merge(metrics)
-        return RunResult(
-            config=self.config,
-            total_bit_transitions=stats.total_bit_transitions,
-            total_cycles=network.cycle,
-            flit_hops=stats.flit_hops,
-            layers=summaries,
-            tasks_verified=verified,
-            tasks_total=len(records),
-            mean_packet_latency=stats.mean_latency,
-            ordering_latency_cycles=total_ordering_latency,
-            per_link=network.ledger.per_link(),
-            steps_executed=network.steps_executed,
-            idle_cycles_skipped=network.idle_cycles_skipped,
-            metrics=metrics,
+        layer_bts = [0] * len(ends)
+        per_link: dict[str, int] = {}
+        for link, hops in capture.hops.items():
+            previous = None
+            transitions = layer = 0
+            for flit, cycle in hops:
+                bits = wire[flit.packet_id][flit.index]
+                if previous is not None:
+                    caused = (previous ^ bits).bit_count()
+                    transitions += caused
+                    while cycle >= ends[layer]:
+                        layer += 1
+                    layer_bts[layer] += caused
+                previous = bits
+            per_link[link] = transitions
+        metrics = dict(shared.metrics)
+        metrics.update(self._codec_metrics())
+        return _published(
+            dataclasses.replace(
+                shared,
+                config=config,
+                total_bit_transitions=sum(per_link.values()),
+                layers=[
+                    dataclasses.replace(layer, bit_transitions=bts)
+                    for layer, bts in zip(shared.layers, layer_bts)
+                ],
+                tasks_verified=_count_verified(records.values()),
+                ordering_latency_cycles=self._ordering_latency(),
+                per_link=per_link,
+                metrics=metrics,
+            )
         )
+
+    def _chunk_operands(self, record: _TaskRecord, chunk_index: int):
+        """One delivered chunk's MAC operands (:meth:`_decode_operands`)."""
+        operands = record.decoded.pop(chunk_index, None)
+        if operands is not None:
+            # Arrival-plane fast path: the operands were recovered
+            # from this chunk's payload bits in a grouped decode
+            # pass (see _encode_jobs).
+            self.codec_decode_batch_chunks += 1
+            return operands
+        self.codec_decode_scalar_chunks += 1
+        return self._decode_operands(record, chunk_index)
 
     def _encode_tasks(
         self,
@@ -906,6 +1093,35 @@ class AcceleratorSimulator:
 #: Numpy word dtype per wire-format width.
 _WORD_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 
+#: Wire format of the PE->MC result word.
+_RESPONSE_FORMAT = Float32Format()
+
+
+def _response_payload(computed: float) -> int:
+    """The single-flit payload a PE returns for a finished task."""
+    return int(
+        _RESPONSE_FORMAT.encode(np.array([computed], dtype=np.float32))[0]
+    )
+
+
+def _count_verified(records: Iterable[_TaskRecord]) -> int:
+    """Tasks whose NoC-computed MAC matches the reference."""
+    return sum(
+        1
+        for record in records
+        if record.computed is not None
+        and abs(record.computed - record.reference)
+        <= 1e-9 * max(1.0, abs(record.reference))
+    )
+
+
+def _published(result: RunResult) -> RunResult:
+    """Merge a result's metrics into the active registry, if any."""
+    registry = active_registry()
+    if registry is not None:
+        registry.merge(result.metrics)
+    return result
+
 
 def _values(fmt: DataFormat, words) -> np.ndarray:
     """Float64 MAC operands of wire words (elementwise, any shape)."""
@@ -939,6 +1155,48 @@ def run_model_on_noc(
         max_cycles_per_layer=max_cycles_per_layer,
         trace_collector=trace_collector,
     )
+
+
+def run_codings(
+    configs: Sequence[AcceleratorConfig],
+    model: ModelSpec,
+    sample_image: np.ndarray,
+    max_cycles_per_layer: int = 2_000_000,
+) -> list[RunResult]:
+    """Run configs that share a timing signature; one result each.
+
+    Orderings, data formats, fill orders and codecs only change what
+    the flits carry (:meth:`AcceleratorConfig.timing_signature`).  The
+    first config runs in full with a schedule capture; every other
+    config is scored on that schedule without a simulation, unless
+    its own packets would not fit it, in which case it runs in full
+    too.  Each result's ``to_dict()`` equals a standalone
+    :func:`run_model_on_noc` of its config.  Nothing outlives the call.
+    """
+    if not configs:
+        return []
+    signature = configs[0].timing_signature()
+    if any(config.timing_signature() != signature for config in configs):
+        raise ValueError("run_codings needs configs with one timing signature")
+    first = AcceleratorSimulator(configs[0], model, sample_image)
+    if len(configs) == 1:
+        return [first.run(max_cycles_per_layer)]
+    capture = _ScheduleCapture()
+    shared = first.run(max_cycles_per_layer, trace_collector=capture)
+    results = [shared]
+    for config in configs[1:]:
+        sim = AcceleratorSimulator(
+            config,
+            model,
+            sample_image,
+            placement=first.placement,
+            layer_tasks=first.layer_tasks,
+        )
+        result = sim._score_on(shared, capture)
+        results.append(
+            sim.run(max_cycles_per_layer) if result is None else result
+        )
+    return results
 
 
 def run_batch_on_noc(

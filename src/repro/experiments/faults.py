@@ -179,6 +179,12 @@ class FaultPlan:
                 matched.extend(acts)
         return [a for a in matched if a.attempt == attempt]
 
+    def names(self, job_id: str, index: int) -> bool:
+        """True when any action, on any attempt, targets this job."""
+        return index in self.by_index or any(
+            job_id.startswith(prefix) for prefix in self.by_job_id
+        )
+
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"seed": self.seed, "actions": {}}
         for index, acts in sorted(self.by_index.items()):

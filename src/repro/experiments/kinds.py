@@ -11,8 +11,9 @@ per workload family.  A handler owns everything kind-specific:
 Three kinds ship built in:
 
 * ``"model"`` — single-image DNN inference via
-  :func:`repro.accelerator.simulator.run_model_on_noc` (the paper's
-  Fig. 12/13 grids).
+  :func:`repro.accelerator.simulator.run_codings` (the paper's
+  Fig. 12/13 grids); jobs that differ only in their coding run as one
+  execution unit on one simulated schedule.
 * ``"batch"`` — a batch of images via :func:`run_batch_on_noc`, with
   per-image results fanned out inside the record.
 * ``"synthetic"`` — standalone NoC traffic via
@@ -51,8 +52,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.accelerator.config import AcceleratorConfig, link_width_for
-from repro.accelerator.simulator import run_batch_on_noc, run_model_on_noc
+from repro.accelerator.config import (
+    CODING_FIELDS,
+    AcceleratorConfig,
+    link_width_for,
+)
+from repro.accelerator.simulator import run_batch_on_noc, run_codings
 from repro.serving.fleet import ServingConfig, TenantSpec, parse_tenant_mix
 from repro.serving.scenario import run_serving
 from repro.dnn.datasets import synthetic_digits, synthetic_shapes
@@ -96,6 +101,9 @@ MODEL_NAMES = ("lenet", "darknet", "trained_lenet")
 
 # Pseudo-axes expanded specially rather than passed to the config.
 _MESH_KEYS = ("width", "height", "n_mcs")
+
+# Point fields left out of the derived per-job seed.
+_UNSEEDED = (*CODING_FIELDS, "core")
 
 
 def parse_mesh_axis(text: str) -> dict[str, int]:
@@ -455,14 +463,15 @@ class JobKind:
             )
         kwargs.update(point)
         if self.uses_seed and "seed" not in kwargs:
-            # The network core and task codec are execution details,
-            # not workload identity: a --cores cross-check (or a
-            # batch-vs-scalar codec axis) must sample the *same*
-            # tasks/images on every point, so both stay out of the
-            # derived seed (cache keys still separate per core/codec
-            # via the config itself).
+            # The seed picks the workload; treatments and execution
+            # details stay out of it.  Ordering, data format and fill
+            # order are the treatments a reduction compares, so O0, O1
+            # and O2 must sample the *same* tasks; the network core and
+            # task codec never change results, so a --cores or codec
+            # cross-check must too (cache keys still separate every
+            # point via the config itself).
             seed_kwargs = {
-                k: v for k, v in kwargs.items() if k not in ("core", "codec")
+                k: v for k, v in kwargs.items() if k not in _UNSEEDED
             }
             kwargs["seed"] = derive_seed(
                 spec.seed, model if self.uses_model else self.name,
@@ -484,18 +493,43 @@ class JobKind:
 
     # -- execution -------------------------------------------------------
 
-    def execute(self, job: "JobSpec") -> dict[str, Any]:
-        """Run the job; returns the result payload (may raise)."""
-        model, images = _build_model_images(
-            job.model, job.model_seed, job.image_seed, 1
+    def unit_key(self, job: "JobSpec") -> tuple | None:
+        """Jobs with one non-None key may run as one execution unit.
+
+        Model jobs that differ only in their coding (ordering, data
+        format, fill order, codec) share a NoC schedule, so
+        :meth:`execute_group` simulates it once for all of them.
+        Other kinds return None and always run alone.
+        """
+        if self.name != "model":
+            return None
+        return (
+            self.name,
+            job.model,
+            job.model_seed,
+            job.image_seed,
+            job.max_cycles_per_layer,
+            job.config.timing_signature(),
         )
-        result = run_model_on_noc(
-            job.config,
+
+    def execute_group(self, jobs: list["JobSpec"]) -> list[dict[str, Any]]:
+        """Run jobs that share a :meth:`unit_key`; one result payload
+        per job, each equal to running that job alone (may raise)."""
+        first = jobs[0]
+        model, images = _build_model_images(
+            first.model, first.model_seed, first.image_seed, 1
+        )
+        results = run_codings(
+            [job.config for job in jobs],
             model,
             images[0],
-            max_cycles_per_layer=job.max_cycles_per_layer,
+            max_cycles_per_layer=first.max_cycles_per_layer,
         )
-        return result.to_dict()
+        return [result.to_dict() for result in results]
+
+    def execute(self, job: "JobSpec") -> dict[str, Any]:
+        """Run the job; returns the result payload (may raise)."""
+        return self.execute_group([job])[0]
 
     # -- presentation ----------------------------------------------------
 

@@ -18,27 +18,38 @@ lives here once, in ``_Ledger``, and every engine shares it:
   deterministic failures are final at once.  A final ok record is
   journaled the moment it lands — the crash-safety contract — and
   cached;
+* **units** — split the jobs to run into execution units.  Model jobs
+  that differ only in their coding (ordering, data format, fill
+  order, codec) share a *timing signature*: the NoC moves their flits
+  on the same cycles, so one unit simulates the schedule once and
+  scores every coding on it
+  (:func:`~repro.accelerator.simulator.run_codings`).  Jobs of other
+  kinds, jobs the fault plan names, and retries run alone;
 * **finish** — assemble the records in grid order, aggregate the
   metrics, write the store, and journal the ``end`` entry (or a
   ``checkpoint`` when interrupted).
 
-The engines only move jobs and choose when a retry runs:
+Every job's record still settles, journals and caches on its own, and
+equals the record the job gets when it runs alone; a unit whose group
+execution raises re-runs each job alone (:func:`execute_unit`).  The
+engines only move units and choose when a retry runs:
 
 * the inline loop (``workers=1``, no timeout or fault plan) calls
-  :func:`execute_job` in-process and sleeps the seeded backoff between
-  attempts;
+  :func:`execute_unit` in-process and sleeps the seeded backoff
+  between attempts;
 * ``_Supervisor`` forks up to ``workers`` long-lived workers, lazily,
-  and feeds each one job at a time over a duplex pipe.  A worker past
-  ``job_timeout`` is killed (a ``JobTimeout`` record), one that dies
-  without a result (``os._exit``, SIGKILL, OOM) is a ``WorkerCrash``,
-  and either is replaced by a fresh fork on the next dispatch; a retry
-  sits out its seeded backoff while other jobs run.  Forking per
+  and feeds each one unit at a time over a duplex pipe.  A worker past
+  its deadline (``job_timeout`` per job of the unit) is killed (a
+  ``JobTimeout`` record per job), one that dies without records
+  (``os._exit``, SIGKILL, OOM) is a ``WorkerCrash`` per job, and
+  either is replaced by a fresh fork on the next dispatch; a retry
+  sits out its seeded backoff while other units run.  Forking per
   attempt instead cost more than the jobs on a simulation-scale grid;
   reuse is safe because a record depends only on its job, never on
   what the process ran before;
-* :class:`~repro.service.server.SweepServer` leases jobs to socket
-  workers, turns a lapsed lease into a ``LeaseExpired`` record, and
-  re-queues a retry at the back of its queue.
+* :class:`~repro.service.server.SweepServer` leases single jobs to
+  socket workers, turns a lapsed lease into a ``LeaseExpired`` record,
+  and re-queues a retry at the back of its queue.
 
 Execution dispatches through the job-kind registry
 (:mod:`repro.experiments.kinds`), so every kind shares the engines.
@@ -59,7 +70,6 @@ real multiprocessing path it defends.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import heapq
 import multiprocessing
 import signal
@@ -89,6 +99,7 @@ from repro.obs.metrics import (
 
 __all__ = [
     "execute_job",
+    "execute_unit",
     "failure_record",
     "CampaignResult",
     "CampaignRunner",
@@ -155,19 +166,7 @@ def execute_job(payload: dict[str, Any]) -> dict[str, Any]:
         job = JobSpec.from_dict(payload)
         if fault_actions:
             apply_fault_actions(fault_actions)
-        result = job_kind(job.kind).execute(job)
-        return {
-            "job_id": job.job_id,
-            "kind": job.kind,
-            "model": job.model,
-            "model_seed": job.model_seed,
-            "image_seed": job.image_seed,
-            "n_images": job.n_images,
-            "config": job.config.to_dict(),
-            "status": "ok",
-            "result": result,
-            "error": None,
-        }
+        return _ok_record(job, job_kind(job.kind).execute(job))
     except Exception as exc:
         try:
             job_id = JobSpec.from_dict(payload).job_id
@@ -178,6 +177,42 @@ def execute_job(payload: dict[str, Any]) -> dict[str, Any]:
         )
         record["traceback"] = traceback.format_exc()
         return record
+
+
+def execute_unit(payloads: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Run one execution unit; one record per payload, never raises.
+
+    A unit of several jobs shares one :meth:`JobKind.unit_key`, and
+    its kind's ``execute_group`` simulates their common schedule once.
+    If the group raises, every job runs alone through
+    :func:`execute_job`, so each gets exactly the record — error or
+    not — it would get by itself.
+    """
+    if len(payloads) > 1:
+        try:
+            jobs = [JobSpec.from_dict(payload) for payload in payloads]
+            results = job_kind(jobs[0].kind).execute_group(jobs)
+            return [
+                _ok_record(job, result) for job, result in zip(jobs, results)
+            ]
+        except Exception:
+            pass  # outside the handler, so no traceback chains to this
+    return [execute_job(payload) for payload in payloads]
+
+
+def _ok_record(job: JobSpec, result: dict[str, Any]) -> dict[str, Any]:
+    return {
+        "job_id": job.job_id,
+        "kind": job.kind,
+        "model": job.model,
+        "model_seed": job.model_seed,
+        "image_seed": job.image_seed,
+        "n_images": job.n_images,
+        "config": job.config.to_dict(),
+        "status": "ok",
+        "result": result,
+        "error": None,
+    }
 
 
 def failure_record(
@@ -211,12 +246,13 @@ def failure_record(
 
 
 def _worker_loop(conn, parent_end) -> None:
-    """Worker-process entry: run job payloads off the pipe until stopped.
+    """Worker-process entry: run units off the pipe until stopped.
 
-    Each payload is answered with its :func:`execute_job` record; a
-    ``None`` sentinel, or EOF once the supervisor is gone, ends the
-    loop.  SIGINT is ignored — a Ctrl-C belongs to the supervisor,
-    which checkpoints the journal and kills workers deliberately — and
+    Each unit (a list of job payloads) is answered with its
+    :func:`execute_unit` records; a ``None`` sentinel, or EOF once the
+    supervisor is gone, ends the loop.  SIGINT is ignored — a Ctrl-C
+    belongs to the supervisor, which checkpoints the journal and kills
+    workers deliberately — and
     SIGTERM is reset to the default, so a timeout kill ends the worker
     quietly instead of raising the KeyboardInterrupt of the
     :func:`sigterm_as_interrupt` handler inherited at fork.  The
@@ -229,24 +265,24 @@ def _worker_loop(conn, parent_end) -> None:
     with metrics_suspended():
         while True:
             try:
-                payload = conn.recv()
+                payloads = conn.recv()
             except (EOFError, OSError):
                 return
-            if payload is None:
+            if payloads is None:
                 return
             try:
-                conn.send(execute_job(payload))
+                conn.send(execute_unit(payloads))
             except OSError:  # pragma: no cover - supervisor gone
                 return
 
 
 @dataclass
-class _Task:
-    """One (job, attempt) dispatch the supervisor tracks."""
+class _Unit:
+    """One dispatch the supervisor tracks: the grid indices of jobs
+    that run together on one attempt (a retry runs alone)."""
 
-    index: int
-    job_id: str
-    payload: dict[str, Any]
+    indices: list[int]
+    payloads: list[dict[str, Any]]
     attempt: int = 1
 
 
@@ -374,10 +410,11 @@ class CampaignResult:
 class _Ledger:
     """One campaign's bookkeeping, shared by every engine.
 
-    An engine calls :meth:`open` once, :meth:`settle` once per
-    finished attempt, and :meth:`finish` once; it never touches the
-    cache, journal, or store itself.  Not thread-safe: the sweep
-    server calls it under its own lock.
+    An engine calls :meth:`open` once, :meth:`settle` once per job of
+    each finished attempt, and :meth:`finish` once (the local engines
+    also ask :meth:`units` how to group the jobs to run); it never
+    touches the cache, journal, or store itself.  Not thread-safe: the
+    sweep server calls it under its own lock.
 
     Attributes:
         records: grid index -> landed record (resumed, cached, or
@@ -454,6 +491,32 @@ class _Ledger:
                 continue
             self.records[index] = record
         return todo
+
+    def units(
+        self, todo: list[int], fault_plan: FaultPlan | None = None
+    ) -> list[list[int]]:
+        """Split the grid indices to run into execution units.
+
+        Jobs with one :meth:`~repro.experiments.kinds.JobKind.unit_key`
+        form one unit, placed at the grid position of its first job.
+        Jobs of kinds without a key, and jobs ``fault_plan`` names on
+        any attempt, are units of one.
+        """
+        units: list[list[int]] = []
+        by_key: dict[Any, list[int]] = {}
+        for index in todo:
+            job = self.jobs[index]
+            key = None
+            if fault_plan is None or not fault_plan.names(job.job_id, index):
+                key = job_kind(job.kind).unit_key(job)
+            if key is None:
+                units.append([index])
+            elif key in by_key:
+                by_key[key].append(index)
+            else:
+                by_key[key] = [index]
+                units.append(by_key[key])
+        return units
 
     def _check_spec_drift(self, spec: SweepSpec) -> None:
         """Refuse to resume a journal for a different campaign."""
@@ -611,14 +674,15 @@ class _Supervisor:
 
     Replaces ``multiprocessing.Pool``: a pool cannot kill a hung task,
     and a worker that hard-dies strands its AsyncResult forever.  The
-    supervisor forks at most ``min(workers, len(todo))`` workers, on
-    first need, and hands each idle one the next job.  Owning the
-    processes lets it enforce wall-clock deadlines with
-    ``terminate``/``kill``, observe crash exit codes directly, and keep
-    scheduling while failed attempts sit out their backoff.  A worker
-    is replaced only when it dies: killed past ``job_timeout`` (a
-    ``JobTimeout`` record) or gone without a record (a
-    ``WorkerCrash``); the next dispatch forks a fresh one.
+    supervisor forks at most ``min(workers, len(units))`` workers, on
+    first need, and hands each idle one the next execution unit.
+    Owning the processes lets it enforce wall-clock deadlines
+    (``job_timeout`` per job of the unit) with ``terminate``/``kill``,
+    observe crash exit codes directly, and keep scheduling while failed
+    attempts sit out their backoff.  A worker is replaced only when it
+    dies: killed past its deadline (a ``JobTimeout`` record for every
+    job of the unit) or gone without records (a ``WorkerCrash`` for
+    each); the next dispatch forks a fresh one.
     """
 
     def __init__(self, runner: "CampaignRunner", ledger: _Ledger) -> None:
@@ -626,54 +690,59 @@ class _Supervisor:
         self.ledger = ledger
         self.ctx = multiprocessing.get_context()
         self.idle: list[tuple[Any, Any]] = []  # (conn, proc)
+        self.dispatched = 0
 
     def run(
         self,
-        todo: list[int],
+        units: list[list[int]],
         on_final: Callable[[dict[str, Any], int], None],
     ) -> bool:
         """Run every job to a final record; returns True if interrupted.
 
         ``on_final(record, running)`` fires once per job as its
         outcome settles, in completion order, with the number of jobs
-        still in flight.  On KeyboardInterrupt every worker, busy or
-        idle, is killed and the unfinished jobs stay unsettled; a
-        normal finish sends each idle worker the stop sentinel and
-        joins it.
+        still in flight.  A job that retries runs alone.  On
+        KeyboardInterrupt every worker, busy or idle, is killed and the
+        unfinished jobs stay unsettled; a normal finish sends each idle
+        worker the stop sentinel and joins it.
         """
         runner = self.runner
         jobs = self.ledger.jobs
-        limit = min(runner.workers, len(todo))
-        pending: deque[_Task] = deque(
-            _Task(index, jobs[index].job_id, jobs[index].to_dict())
-            for index in todo
+        limit = min(runner.workers, len(units))
+        pending: deque[_Unit] = deque(
+            _Unit(unit, [jobs[index].to_dict() for index in unit])
+            for unit in units
         )
-        waiting: list[tuple[float, int, _Task]] = []  # backoff heap
-        running: dict[Any, tuple[_Task, Any, float | None]] = {}
+        waiting: list[tuple[float, int, _Unit]] = []  # backoff heap
+        running: dict[Any, tuple[_Unit, Any, float | None]] = {}
         seq = 0
 
-        def settle(task: _Task, record: dict[str, Any]) -> None:
+        def settle(unit: _Unit, records: list[dict[str, Any]]) -> None:
             nonlocal seq
-            final = self.ledger.settle(task.index, record, task.attempt)
-            if final is not None:
-                on_final(final, len(running))
-                return
-            delay = backoff_seconds(
-                runner.backoff_seed,
-                task.job_id,
-                task.attempt,
-                runner.backoff_base,
-                runner.backoff_cap,
-            )
-            seq += 1
-            heapq.heappush(
-                waiting,
-                (
-                    time.monotonic() + delay,
-                    seq,
-                    dataclasses.replace(task, attempt=task.attempt + 1),
-                ),
-            )
+            in_flight = sum(len(u.indices) for u, _, _ in running.values())
+            for index, payload, record in zip(
+                unit.indices, unit.payloads, records
+            ):
+                final = self.ledger.settle(index, record, unit.attempt)
+                if final is not None:
+                    on_final(final, in_flight)
+                    continue
+                delay = backoff_seconds(
+                    runner.backoff_seed,
+                    jobs[index].job_id,
+                    unit.attempt,
+                    runner.backoff_base,
+                    runner.backoff_cap,
+                )
+                seq += 1
+                heapq.heappush(
+                    waiting,
+                    (
+                        time.monotonic() + delay,
+                        seq,
+                        _Unit([index], [payload], unit.attempt + 1),
+                    ),
+                )
 
         interrupted = False
         try:
@@ -693,8 +762,8 @@ class _Supervisor:
                     list(running), self._next_wake(running, waiting)
                 )
                 for conn in ready:
-                    task, proc, _ = running.pop(conn)
-                    settle(task, self._collect(conn, proc, task))
+                    unit, proc, _ = running.pop(conn)
+                    settle(unit, self._collect(conn, proc, unit))
                 self._reap_timeouts(running, settle)
         except KeyboardInterrupt:
             interrupted = True
@@ -713,37 +782,56 @@ class _Supervisor:
         child_conn.close()  # the worker holds the only copy: EOF = death
         return conn, proc
 
-    def _dispatch(self, task: _Task, running: dict) -> None:
-        payload = task.payload
+    def _dispatch(self, unit: _Unit, running: dict) -> None:
+        payloads = list(unit.payloads)
         plan: FaultPlan | None = self.runner.fault_plan
         if plan is not None:
             # Network faults belong to the service socket layer; an
             # in-process worker has no socket to fault, so only the
             # in-worker kinds ride the payload.
-            actions = [
-                a
-                for a in plan.actions_for(
-                    task.job_id, task.index, task.attempt
-                )
-                if not a.is_network
-            ]
-            if actions:
-                payload = dict(payload)
-                payload["_fault"] = [a.to_dict() for a in actions]
+            for i, index in enumerate(unit.indices):
+                actions = [
+                    a
+                    for a in plan.actions_for(
+                        self.ledger.jobs[index].job_id, index, unit.attempt
+                    )
+                    if not a.is_network
+                ]
+                if actions:
+                    payloads[i] = {
+                        **payloads[i],
+                        "_fault": [a.to_dict() for a in actions],
+                    }
         while True:
             conn, proc = self.idle.pop() if self.idle else self._start()
             try:
-                conn.send(payload)
+                conn.send(payloads)
                 break
             except OSError:  # died while idle: no attempt was lost
                 self._kill(proc)
                 conn.close()
+        self.dispatched += 1
         deadline = (
             None
             if self.runner.job_timeout is None
-            else time.monotonic() + self.runner.job_timeout
+            else time.monotonic() + self._budget(unit)
         )
-        running[conn] = (task, proc, deadline)
+        running[conn] = (unit, proc, deadline)
+
+    def _budget(self, unit: _Unit) -> float:
+        """A unit's wall-clock budget: ``job_timeout`` per job."""
+        return self.runner.job_timeout * len(unit.indices)
+
+    def _failures(
+        self, unit: _Unit, error: str, error_class: str
+    ) -> list[dict[str, Any]]:
+        """One engine-observed failure record per job of the unit."""
+        return [
+            failure_record(
+                payload, self.ledger.jobs[index].job_id, error, error_class
+            )
+            for index, payload in zip(unit.indices, unit.payloads)
+        ]
 
     @staticmethod
     def _next_wake(running: dict, waiting: list) -> float | None:
@@ -754,22 +842,21 @@ class _Supervisor:
             return None
         return max(0.0, min(marks) - time.monotonic())
 
-    def _collect(self, conn, proc, task: _Task) -> dict[str, Any]:
+    def _collect(self, conn, proc, unit: _Unit) -> list[dict[str, Any]]:
         try:
-            record = conn.recv()
+            records = conn.recv()
         except (EOFError, OSError):
-            record = None
-        if isinstance(record, dict):
+            records = None
+        if isinstance(records, list):
             self.idle.append((conn, proc))
-            return record
+            return records
         conn.close()
         proc.join(timeout=5.0)
-        self.ledger.worker_crashes += 1
-        return failure_record(
-            task.payload,
-            task.job_id,
+        self.ledger.worker_crashes += len(unit.indices)
+        return self._failures(
+            unit,
             f"WorkerCrash: worker exited with code {proc.exitcode} "
-            f"before returning a result (attempt {task.attempt})",
+            f"before returning a result (attempt {unit.attempt})",
             "worker_crash",
         )
 
@@ -781,18 +868,16 @@ class _Supervisor:
             if deadline is not None and now >= deadline
         ]
         for conn in expired:
-            task, proc, _ = running.pop(conn)
+            unit, proc, _ = running.pop(conn)
             self._kill(proc)
             conn.close()
-            self.ledger.timeouts += 1
+            self.ledger.timeouts += len(unit.indices)
             settle(
-                task,
-                failure_record(
-                    task.payload,
-                    task.job_id,
-                    f"JobTimeout: exceeded the "
-                    f"{self.runner.job_timeout:g}s wall-clock budget "
-                    f"(attempt {task.attempt})",
+                unit,
+                self._failures(
+                    unit,
+                    f"JobTimeout: exceeded the {self._budget(unit):g}s "
+                    f"wall-clock budget (attempt {unit.attempt})",
                     "timeout",
                 ),
             )
@@ -948,21 +1033,30 @@ class CampaignRunner:
                 }
             )
 
+        units = ledger.units(todo, self.fault_plan)
         interrupted = False
-        if todo:
+        dispatched = 0
+        if units:
             supervised = (
                 self.workers > 1
                 or self.job_timeout is not None
                 or self.fault_plan is not None
             )
             if supervised:
-                interrupted = _Supervisor(self, ledger).run(todo, on_final)
+                supervisor = _Supervisor(self, ledger)
+                interrupted = supervisor.run(units, on_final)
+                dispatched = supervisor.dispatched
             else:
-                interrupted = self._execute_inline(ledger, todo, on_final)
+                interrupted, dispatched = self._execute_inline(
+                    ledger, units, on_final
+                )
         out = ledger.finish(
             interrupted,
             self.workers,
-            {"runner.workers.peak": min(self.workers, n_fresh)},
+            {
+                "runner.workers.peak": min(self.workers, len(units)),
+                "runner.units": dispatched,
+            },
         )
         if progress is not None:
             for record in out.records:
@@ -975,43 +1069,46 @@ class CampaignRunner:
     def _execute_inline(
         self,
         ledger: _Ledger,
-        todo: list[int],
+        units: list[list[int]],
         on_final: Callable[[dict[str, Any], int], None],
-    ) -> bool:
+    ) -> tuple[bool, int]:
         """Single-process path: no subprocesses, so no kill/hang
-        defence — but the same settle policy.  Returns True when
-        interrupted.
+        defence — but the same units and settle policy, a retry
+        running alone.  Returns (interrupted, units dispatched).
 
         Suspends any active registry around in-process execution: the
         runner's single post-run aggregation is the one publication
         path, matching supervised workers (whose processes never
         publish into the parent's registry).
         """
+        dispatched = 0
         try:
             with metrics_suspended():
-                for index in todo:
-                    job = ledger.jobs[index]
-                    payload = job.to_dict()
-                    attempt = 1
-                    while (
-                        final := ledger.settle(
-                            index, execute_job(payload), attempt
-                        )
-                    ) is None:
-                        time.sleep(
-                            backoff_seconds(
-                                self.backoff_seed,
-                                job.job_id,
-                                attempt,
-                                self.backoff_base,
-                                self.backoff_cap,
+                for unit in units:
+                    payloads = [ledger.jobs[index].to_dict() for index in unit]
+                    dispatched += 1
+                    records = execute_unit(payloads)
+                    for index, payload, record in zip(unit, payloads, records):
+                        attempt = 1
+                        while (
+                            final := ledger.settle(index, record, attempt)
+                        ) is None:
+                            time.sleep(
+                                backoff_seconds(
+                                    self.backoff_seed,
+                                    ledger.jobs[index].job_id,
+                                    attempt,
+                                    self.backoff_base,
+                                    self.backoff_cap,
+                                )
                             )
-                        )
-                        attempt += 1
-                    on_final(final, 0)
+                            attempt += 1
+                            dispatched += 1
+                            record = execute_job(payload)
+                        on_final(final, 0)
         except KeyboardInterrupt:
-            return True
-        return False
+            return True, dispatched
+        return False, dispatched
 
 
 def _progress_line(record: dict[str, Any]) -> str:

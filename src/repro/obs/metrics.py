@@ -22,7 +22,10 @@ everything else sums.
 Resilience families published by the campaign runner per run:
 ``runner.retries`` / ``runner.timeouts`` / ``runner.worker_crashes`` /
 ``runner.quarantined`` / ``runner.resumed`` count the fault-tolerance
-machinery's interventions, and ``cache.corrupt_entries`` counts cache
+machinery's interventions, ``runner.units`` counts the execution
+units the local engines dispatched (jobs sharing a timing signature
+run as one unit; a retry is a unit of one), and
+``cache.corrupt_entries`` counts cache
 entries that failed their verify-on-read digest and were quarantined
 for re-simulation.  All are plain sums (zero on a healthy run), so a
 chaos sweep's metrics dump shows exactly how much turbulence the

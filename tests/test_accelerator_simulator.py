@@ -231,3 +231,27 @@ class TestSimulatorInternals:
         assert res.transitions_per_flit_hop > 0
         assert res.mean_packet_latency > 0
         assert res.total_cycles > 0
+
+
+class TestRepeatableRun:
+    """A simulator run twice gives the same result twice: the MC's
+    weight-cache knowledge, the ordering units and the codec counters
+    start fresh on every run."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            tiny_config(),
+            tiny_config(
+                mapping_policy="group_affine",
+                weight_cache=True,
+                ordering=OrderingMethod.SEPARATED,
+                extra={"model_ordering_latency": True},
+            ),
+        ],
+        ids=["default", "weight-cache-latency"],
+    )
+    def test_second_run_equals_first(self, small_lenet, digit_image, config):
+        sim = AcceleratorSimulator(config, small_lenet, digit_image)
+        first = sim.run().to_dict()
+        assert sim.run().to_dict() == first

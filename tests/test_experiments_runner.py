@@ -476,14 +476,135 @@ class TestEngineParity:
         bad = [r for r in local.records if r["status"] == "error"]
         assert [(r["job_id"], r["attempts"]) for r in bad] == [(job1, 2)]
 
+        # Dispatch shape is engine-specific: the server leases single
+        # jobs, the runner groups jobs that share a timing signature.
         def shared(metrics):
             return {
                 k: v for k, v in metrics.items()
                 if not k.startswith("service.")
-                and k != "runner.workers.peak"
+                and k not in ("runner.workers.peak", "runner.units")
             }
 
         assert shared(served.metrics) == shared(local.metrics)
+
+
+def coding_spec(**overrides) -> SweepSpec:
+    """Two meshes x three orderings x two formats: 2 units of 6."""
+    axes = {
+        "mesh": ["2x2:1", "3x3:1"],
+        "ordering": ["O0", "O1", "O2"],
+        "data_format": ["fixed8", "float32"],
+    }
+    return small_spec(axes=axes, **overrides)
+
+
+def records_alone(spec: SweepSpec) -> list[dict]:
+    return [execute_job(job.to_dict()) for job in spec.expand()]
+
+
+def engine_free(records: list[dict]) -> list[dict]:
+    return [
+        {k: v for k, v in r.items() if k not in ("cached", "campaign")}
+        for r in records
+    ]
+
+
+class TestExecutionUnits:
+    """Jobs sharing a timing signature run as one unit, and every
+    record equals the record of the job run alone."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grouped_records_equal_jobs_run_alone(self, workers):
+        spec = coding_spec()
+        result = CampaignRunner(workers=workers).run(spec)
+        assert result.metrics["runner.units"] == 2
+        assert result.metrics["runner.workers.peak"] == workers
+        assert engine_free(result.records) == records_alone(spec)
+
+    def test_failing_unit_gives_each_job_its_own_error(self):
+        spec = coding_spec(max_cycles_per_layer=3)
+        result = CampaignRunner(workers=1).run(spec)
+        assert result.metrics["runner.units"] == 2
+        assert result.errors == 12
+        alone = records_alone(spec)
+        assert all("SimulationTimeout" in r["error"] for r in alone)
+        settled = [
+            {**r, "error_class": "permanent", "attempts": 1,
+             "quarantined": False}
+            for r in alone
+        ]
+        assert engine_free(result.records) == settled
+
+    def test_units_split_by_signature_kind_and_fault_plan(self):
+        spec = coding_spec()
+        jobs = spec.expand()
+        # A twin joins its unit; another kind on the same config never.
+        jobs.append(jobs[0])
+        jobs.append(
+            JobSpec(model="lenet", config=jobs[0].config, kind="batch",
+                    n_images=2)
+        )
+        ledger = _Ledger("t", jobs, None, None, None, 0)
+        todo = list(range(len(jobs)))
+        assert ledger.units(todo) == [
+            [0, 1, 2, 3, 4, 5, 12], list(range(6, 12)), [13]
+        ]
+        # A job the plan names on any attempt runs alone.
+        plan = FaultPlan({3: [FaultAction("transient", attempt=2)]})
+        assert ledger.units(todo, plan) == [
+            [0, 1, 2, 4, 5, 12], [3], list(range(6, 12)), [13]
+        ]
+        assert ledger.units([7, 1, 8]) == [[7, 8], [1]]
+        cores = small_spec(axes={"mesh": ["2x2:1"], "core": [
+            "event", "stepped"]}).expand()
+        assert _Ledger("t", cores, None, None, None, 0).units([0, 1]) == [
+            [0], [1]
+        ]
+
+    def test_fault_carrying_and_retried_jobs_dispatch_alone(self):
+        plan = FaultPlan({1: [FaultAction("transient", attempt=1)]})
+        spec = coding_spec()
+        result = CampaignRunner(
+            workers=2, max_retries=1, backoff_base=0.01, fault_plan=plan
+        ).run(spec)
+        # [1] alone, its retry alone, [0, 2..5] and [6..11] grouped.
+        assert result.metrics["runner.units"] == 4
+        assert result.retries == 1 and result.errors == 0
+        assert engine_free(result.records) == records_alone(spec)
+
+    def test_inline_retry_runs_alone(self, monkeypatch):
+        import repro.experiments.runner as runner_module
+
+        units: list[int] = []
+        singles: list[str] = []
+        execute_unit = runner_module.execute_unit
+        execute_job_ = runner_module.execute_job
+
+        def flaky_unit(payloads):
+            units.append(len(payloads))
+            records = execute_unit(payloads)
+            if len(units) == 1:  # the first unit fails transiently
+                records = [
+                    failure_record(p, r["job_id"], "TransientFaultError: x")
+                    for p, r in zip(payloads, records)
+                ]
+            return records
+
+        def spy_job(payload):
+            singles.append(JobSpec.from_dict(payload).job_id)
+            return execute_job_(payload)
+
+        monkeypatch.setattr(runner_module, "execute_unit", flaky_unit)
+        monkeypatch.setattr(runner_module, "execute_job", spy_job)
+        spec = coding_spec()
+        result = CampaignRunner(
+            workers=1, max_retries=1, backoff_base=0.001
+        ).run(spec)
+        assert units == [6, 6]
+        assert singles == [job.job_id for job in spec.expand()[:6]]
+        assert result.metrics["runner.units"] == 8
+        assert result.retries == 6 and result.errors == 0
+        assert engine_free(result.records) == records_alone(spec)
 
 
 def spy_on_starts(monkeypatch) -> list:
@@ -520,13 +641,18 @@ class TestPersistentWorkers:
     """The supervisor forks each worker once and reuses it; only a
     killed or crashed worker is replaced, and none outlives ``run``."""
 
-    @pytest.mark.parametrize("workers, starts", [(2, 2), (8, 4)])
+    # small_spec's 4 jobs form 2 units (one per mesh, both orderings
+    # in each), so no more than 2 workers ever have work.
+    @pytest.mark.parametrize("workers, starts", [(1, 1), (2, 2), (8, 2)])
     def test_clean_grid_starts_one_process_per_worker(
         self, monkeypatch, workers, starts
     ):
         started = spy_on_starts(monkeypatch)
-        result = CampaignRunner(workers=workers).run(small_spec())
+        result = CampaignRunner(workers=workers, job_timeout=60.0).run(
+            small_spec()
+        )
         assert result.n_jobs == 4 and result.errors == 0
+        assert result.metrics["runner.units"] == 2
         assert len(started) == starts
         assert multiprocessing.active_children() == []
 

@@ -104,8 +104,25 @@ class TestExpansion:
 
 class TestJobSeeds:
     def test_per_job_seeds_differ_across_points(self):
+        # Two meshes are two workloads; the orderings are treatments.
         seeds = {j.config.seed for j in small_spec().expand()}
-        assert len(seeds) == 6
+        assert len(seeds) == 2
+
+    def test_codings_share_one_seed(self):
+        """O0/O1/O2 x format x fill order sample the same tasks, so a
+        reduction against O0 is a paired comparison."""
+        jobs = small_spec(
+            axes={
+                "mesh": ["2x2:1"],
+                "ordering": ["O0", "O1", "O2"],
+                "data_format": ["fixed8", "float32"],
+                "fill_order": ["deal", "row"],
+                "codec": ["batch", "scalar"],
+            }
+        ).expand()
+        assert len(jobs) == 24
+        assert len({j.config.seed for j in jobs}) == 1
+        assert len({j.job_id for j in jobs}) == 24
 
     def test_campaign_seed_changes_job_seeds(self):
         a = small_spec(seed=0).expand()

@@ -216,7 +216,8 @@ class TestCacheKeyInvariants:
 
 
 class TestSweepSeedInvariants:
-    """Derived per-job seeds are deterministic and collision-free."""
+    """Derived per-job seeds are deterministic and collision-free
+    across workloads, and shared by the codings of one workload."""
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -234,10 +235,12 @@ class TestSweepSeedInvariants:
             axes={"mesh": ["2x2:1", "3x3:1"], "ordering": orderings},
             seed=campaign_seed,
         )
-        first = [j.config.seed for j in spec.expand()]
-        second = [j.config.seed for j in spec.expand()]
+        first = [(j.config.width, j.config.seed) for j in spec.expand()]
+        second = [(j.config.width, j.config.seed) for j in spec.expand()]
         assert first == second  # deterministic across expansions
-        assert len(set(first)) == len(first)  # collision-free in-sweep
+        by_mesh = dict(first)
+        assert set(first) == set(by_mesh.items())  # orderings paired
+        assert len(set(by_mesh.values())) == 2  # meshes collision-free
 
     def test_batch_n_images_axis_gets_distinct_seeds(self):
         """Jobs differing only in batch size must not share a seed."""
