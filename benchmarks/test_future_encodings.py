@@ -20,7 +20,7 @@ from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.simulator import AcceleratorSimulator
 from repro.analysis.summary import reduction_rate
 from repro.ordering.strategies import OrderingMethod
-from repro.workloads.traces import TraceCollector, reencode_transitions
+from repro.workloads.traces import TrafficTrace, reencode_transitions
 
 MAX_TASKS = 24
 
@@ -32,10 +32,9 @@ def capture_trace(model, image, method: OrderingMethod):
         max_tasks_per_layer=MAX_TASKS,
     )
     sim = AcceleratorSimulator(config, model, image)
-    collector = TraceCollector()
-    result = sim.run(trace_collector=collector)
+    result, network = sim.simulate()
     assert result.all_verified
-    return collector.finish(config.link_width), result
+    return TrafficTrace.from_network(network), result
 
 
 def test_future_encodings(benchmark, record_result, trained_lenet, lenet_image):

@@ -1,9 +1,9 @@
 """Capture a packet traffic trace, re-analyse it offline, replay it.
 
 Demonstrates the NocDAS-style trace output (Fig. 7): a fixed-8 LeNet
-run is captured link by link with the full-fidelity TraceRecorder,
+run is captured link by link from its network's hop log,
 persisted to the compressed v2 trace format, reloaded, validated
-against the live recorders, re-scored under the related-work link
+against the run's own BT table, re-scored under the related-work link
 codings (bus-invert, delta) without re-running the simulator, and
 finally *replayed* through both network cores — the recorded traffic
 re-injected cycle-for-cycle, reproducing the per-link BT ledger
@@ -26,7 +26,7 @@ from repro.accelerator import AcceleratorConfig, AcceleratorSimulator
 from repro.analysis import bar_chart
 from repro.dnn import LeNet5, synthetic_digits
 from repro.ordering import OrderingMethod
-from repro.noc import TraceRecorder
+from repro.noc import score_hops
 from repro.workloads import (
     TrafficTrace,
     reencode_transitions,
@@ -51,14 +51,13 @@ def main() -> None:
         max_tasks_per_layer=16,
     )
     sim = AcceleratorSimulator(config, model, image)
-    recorder = TraceRecorder()
-    result = sim.run(trace_collector=recorder)
-    trace = recorder.finish(config.noc_config())
+    result, network = sim.simulate()
+    trace = TrafficTrace.from_network(network)
 
     print(f"Captured {trace.total_flit_traversals()} flit traversals over "
           f"{len(trace.links)} links.")
     assert trace.total_transitions() == result.total_bit_transitions
-    print("Offline BT recount matches the live Fig. 8 recorders: "
+    print("Offline BT recount matches the run's Fig. 8 sum: "
           f"{trace.total_transitions()} transitions.")
 
     trace.save(out)
@@ -70,7 +69,10 @@ def main() -> None:
     print()
     for core in ("event", "stepped"):
         replayed = replay_through_network(reloaded, core=core)
-        exact = replayed.ledger.per_link() == trace.per_link_transitions()
+        exact = (
+            score_hops(replayed.hops).per_link
+            == trace.per_link_transitions()
+        )
         print(f"Replayed {len(reloaded.packets)} recorded packets through "
               f"the {core} core: per-link BT ledger reproduced "
               f"bit-exactly: {exact}")

@@ -13,10 +13,12 @@ from *transmitted bits* must equal the reference computed from the
 originally encoded words, which proves affiliated-ordering needs no
 recovery and separated-ordering's index recovery works.
 
-Orderings only permute payload within a packet, so configs that differ
-only in their coding move every flit on the same cycles:
-:func:`run_codings` simulates such a group once and scores the other
-codings on the captured schedule.
+The network only logs its hops; BTs are scored from that log after
+the run (:func:`repro.noc.recorder.score_hops`), per layer by the
+barrier windows' cycles.  Orderings only permute payload within a
+packet, so configs that differ only in their coding move every flit
+on the same cycles: :func:`run_codings` simulates such a group once
+and scores the other codings on the same hop log.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from repro.bits.lanes import lane_fast_path
 from repro.obs.metrics import active_registry
 from repro.dnn.models import ModelSpec
 from repro.dnn.quantize import tensor_format
-from repro.noc.flit import Flit, Packet, make_packet
+from repro.noc.flit import Packet, make_packet
 from repro.noc.network import Network, SimulationTimeout
+from repro.noc.recorder import HopLog, score_hops
 
 __all__ = [
     "LayerSummary",
@@ -282,45 +285,6 @@ class _ChunkJob:
     decoded: object | None = None
 
 
-class _ScheduleCapture:
-    """Trace hook that records when flits move, not what they carry.
-
-    Per recorded link, every flit that crossed it with its cycle, in
-    traversal order; and every packet queued for injection with its
-    send cycle.  :func:`run_codings` attaches one to a signature's
-    shared run and drops it when the signature is scored.
-    """
-
-    def __init__(self) -> None:
-        self.hops: dict[str, list[tuple[Flit, int]]] = {}
-        self.sends: list[tuple[int, Packet]] = []
-
-    def record(
-        self, link_name: str, bits: int, cycle: int, vc: int, flit: Flit
-    ) -> None:
-        hops = self.hops.get(link_name)
-        if hops is None:
-            hops = self.hops[link_name] = []
-        hops.append((flit, cycle))
-
-    def record_send(self, cycle: int, packet: Packet) -> None:
-        self.sends.append((cycle, packet))
-
-    def requests(self) -> list[tuple[int, int, int, int]]:
-        """(send cycle, task id, chunk index, flit count) of every
-        request packet, in send order."""
-        return [
-            (
-                cycle,
-                packet.metadata["task_id"],
-                packet.metadata["chunk_index"],
-                len(packet.flits),
-            )
-            for cycle, packet in self.sends
-            if packet.metadata["kind"] != "response"
-        ]
-
-
 class AcceleratorSimulator:
     """Drives one model + configuration through the NoC.
 
@@ -422,23 +386,25 @@ class AcceleratorSimulator:
 
     # -- running ---------------------------------------------------------
 
-    def run(
-        self,
-        max_cycles_per_layer: int = 2_000_000,
-        trace_collector=None,
-    ) -> RunResult:
+    def run(self, max_cycles_per_layer: int = 2_000_000) -> RunResult:
         """Simulate every layer and return the run result.
 
         Args:
             max_cycles_per_layer: drain budget per barrier window.
-            trace_collector: optional
-                :class:`repro.workloads.traces.TraceCollector` that
-                receives every recorded wire image (Fig. 7's packet
-                traffic trace output).
+        """
+        return self.simulate(max_cycles_per_layer)[0]
+
+    def simulate(
+        self, max_cycles_per_layer: int = 2_000_000
+    ) -> tuple[RunResult, Network]:
+        """:meth:`run`, plus the drained network it scored.
+
+        The network's hop log is Fig. 7's packet traffic trace output:
+        :meth:`repro.workloads.traces.TrafficTrace.from_network` saves
+        it, and :func:`run_codings` scores other codings on it.
         """
         self._reset_run_state()
         network = Network(self.config.noc_config())
-        network.trace_collector = trace_collector
         records: dict[int, _TaskRecord] = {}
         pending = _PendingQueue()
         # This run numbers its own packets from 0, so packet ids (and
@@ -540,7 +506,6 @@ class AcceleratorSimulator:
         summaries: list[LayerSummary] = []
         if self.config.layer_barrier:
             for lt in self.layer_tasks:
-                bt_before = network.stats.total_bit_transitions
                 packets_before = network.stats.packets_injected
                 cycles_before = network.cycle
                 for record in self._encode_tasks(
@@ -564,8 +529,7 @@ class AcceleratorSimulator:
                         packets=network.stats.packets_injected
                         - packets_before,
                         flits=layer_flits,
-                        bit_transitions=network.stats.total_bit_transitions
-                        - bt_before,
+                        bit_transitions=0,  # scored after the run
                         cycles=network.cycle - cycles_before,
                     )
                 )
@@ -595,30 +559,33 @@ class AcceleratorSimulator:
                     ),
                     packets=network.stats.packets_injected,
                     flits=total_flits,
-                    bit_transitions=network.stats.total_bit_transitions,
+                    bit_transitions=0,
                     cycles=network.cycle,
                 )
             )
+        score = score_hops(network.hops, cuts=_layer_cuts(summaries))
         stats = network.stats
+        stats.total_bit_transitions = score.total
         metrics = network.metrics_snapshot()
         metrics.update(self._codec_metrics())
-        return _published(
+        result = _published(
             RunResult(
                 config=self.config,
-                total_bit_transitions=stats.total_bit_transitions,
+                total_bit_transitions=score.total,
                 total_cycles=network.cycle,
                 flit_hops=stats.flit_hops,
-                layers=summaries,
+                layers=_with_bts(summaries, score.windows),
                 tasks_verified=_count_verified(records.values()),
                 tasks_total=len(records),
                 mean_packet_latency=stats.mean_latency,
                 ordering_latency_cycles=self._ordering_latency(),
-                per_link=network.ledger.per_link(),
+                per_link=score.per_link,
                 steps_executed=network.steps_executed,
                 idle_cycles_skipped=network.idle_cycles_skipped,
                 metrics=metrics,
             )
         )
+        return result, network
 
     def _ordering_latency(self) -> int:
         return sum(
@@ -635,20 +602,19 @@ class AcceleratorSimulator:
             "codec.decode_scalar_chunks": self.codec_decode_scalar_chunks,
         }
 
-    def _score_on(
-        self, shared: RunResult, capture: _ScheduleCapture
-    ) -> RunResult | None:
+    def _score_on(self, shared: RunResult, log: HopLog) -> RunResult | None:
         """This config's result on another run's schedule, or None.
 
-        ``shared`` ran a config with the same timing signature under
-        ``capture``.  This config's request packets are encoded and
-        queued exactly as :meth:`run` would queue them.  The NoC never
-        looks at payloads, so if every request packet has the shared
-        run's flit count, release cycle and queue position, this run
-        would move every flit exactly as the shared run did: MACs are
-        verified chunk by chunk as the PE sink does, and BTs are
-        scored on the captured per-link flit sequences, per layer by
-        the barrier windows' cycles.  Any mismatch (payload-sorted
+        ``shared`` ran a config with the same timing signature and
+        ``log`` is its network's hop log.  This config's request
+        packets are encoded and queued exactly as :meth:`run` would
+        queue them.  The NoC never looks at payloads, so if every
+        request packet has the shared run's flit count, release cycle
+        and queue position, this run would move every flit exactly as
+        the shared run did: MACs are verified chunk by chunk as the PE
+        sink does, and BTs are scored on the logged per-link flit
+        sequences with this config's payloads, per layer by the
+        barrier windows' cycles.  Any mismatch (payload-sorted
         scheduling, in-band index flits, modelled ordering latency)
         returns None and the caller runs this config in full.
         """
@@ -685,7 +651,7 @@ class AcceleratorSimulator:
             )
             for release, packet in requests
         ]
-        if mine != capture.requests():
+        if mine != _requests(log.sends):
             return None
 
         # PE side: each weight block reaches a PE in full once per run,
@@ -713,49 +679,33 @@ class AcceleratorSimulator:
             record.settle()
 
         # Wire images: this config's payloads under the shared ids.
-        wire: dict[int, list[int]] = {}
+        images: dict[int, list[int]] = {}
         own = iter(requests)
-        for _, packet in capture.sends:
+        for _, packet in log.sends:
             meta = packet.metadata
             if meta["kind"] == "response":
                 computed = records[meta["task_id"]].computed
-                wire[packet.packet_id] = [_response_payload(computed)]
+                images[packet.packet_id] = [_response_payload(computed)]
             else:
-                wire[packet.packet_id] = [
+                images[packet.packet_id] = [
                     flit.payload for flit in next(own)[1].flits
                 ]
-        ends = list(
-            itertools.accumulate(layer.cycles for layer in shared.layers)
+        score = score_hops(
+            log,
+            wire=lambda flit: images[flit.packet_id][flit.index],
+            cuts=_layer_cuts(shared.layers),
         )
-        layer_bts = [0] * len(ends)
-        per_link: dict[str, int] = {}
-        for link, hops in capture.hops.items():
-            previous = None
-            transitions = layer = 0
-            for flit, cycle in hops:
-                bits = wire[flit.packet_id][flit.index]
-                if previous is not None:
-                    caused = (previous ^ bits).bit_count()
-                    transitions += caused
-                    while cycle >= ends[layer]:
-                        layer += 1
-                    layer_bts[layer] += caused
-                previous = bits
-            per_link[link] = transitions
         metrics = dict(shared.metrics)
         metrics.update(self._codec_metrics())
         return _published(
             dataclasses.replace(
                 shared,
                 config=config,
-                total_bit_transitions=sum(per_link.values()),
-                layers=[
-                    dataclasses.replace(layer, bit_transitions=bts)
-                    for layer, bts in zip(shared.layers, layer_bts)
-                ],
+                total_bit_transitions=score.total,
+                layers=_with_bts(shared.layers, score.windows),
                 tasks_verified=_count_verified(records.values()),
                 ordering_latency_cycles=self._ordering_latency(),
-                per_link=per_link,
+                per_link=score.per_link,
                 metrics=metrics,
             )
         )
@@ -1104,6 +1054,38 @@ def _response_payload(computed: float) -> int:
     )
 
 
+def _requests(
+    sends: list[tuple[int, Packet]],
+) -> list[tuple[int, int, int, int]]:
+    """(send cycle, task id, chunk index, flit count) of every request
+    packet in a send log, in send order."""
+    return [
+        (
+            cycle,
+            packet.metadata["task_id"],
+            packet.metadata["chunk_index"],
+            len(packet.flits),
+        )
+        for cycle, packet in sends
+        if packet.metadata["kind"] != "response"
+    ]
+
+
+def _layer_cuts(layers: Sequence[LayerSummary]) -> list[int]:
+    """Cycle cuts between consecutive barrier windows of a run."""
+    return list(itertools.accumulate(layer.cycles for layer in layers))[:-1]
+
+
+def _with_bts(
+    layers: Sequence[LayerSummary], bts: Sequence[int]
+) -> list[LayerSummary]:
+    """The layer summaries with their windows' scored BTs."""
+    return [
+        dataclasses.replace(layer, bit_transitions=n)
+        for layer, n in zip(layers, bts)
+    ]
+
+
 def _count_verified(records: Iterable[_TaskRecord]) -> int:
     """Tasks whose NoC-computed MAC matches the reference."""
     return sum(
@@ -1147,14 +1129,10 @@ def run_model_on_noc(
     model: ModelSpec,
     sample_image: np.ndarray,
     max_cycles_per_layer: int = 2_000_000,
-    trace_collector=None,
 ) -> RunResult:
     """One-call convenience wrapper used by examples and benches."""
     sim = AcceleratorSimulator(config, model, sample_image)
-    return sim.run(
-        max_cycles_per_layer=max_cycles_per_layer,
-        trace_collector=trace_collector,
-    )
+    return sim.run(max_cycles_per_layer=max_cycles_per_layer)
 
 
 def run_codings(
@@ -1167,8 +1145,8 @@ def run_codings(
 
     Orderings, data formats, fill orders and codecs only change what
     the flits carry (:meth:`AcceleratorConfig.timing_signature`).  The
-    first config runs in full with a schedule capture; every other
-    config is scored on that schedule without a simulation, unless
+    first config runs in full; every other config is scored on its
+    network's hop log without a simulation, unless
     its own packets would not fit it, in which case it runs in full
     too.  Each result's ``to_dict()`` equals a standalone
     :func:`run_model_on_noc` of its config.  Nothing outlives the call.
@@ -1181,8 +1159,7 @@ def run_codings(
     first = AcceleratorSimulator(configs[0], model, sample_image)
     if len(configs) == 1:
         return [first.run(max_cycles_per_layer)]
-    capture = _ScheduleCapture()
-    shared = first.run(max_cycles_per_layer, trace_collector=capture)
+    shared, network = first.simulate(max_cycles_per_layer)
     results = [shared]
     for config in configs[1:]:
         sim = AcceleratorSimulator(
@@ -1192,7 +1169,7 @@ def run_codings(
             placement=first.placement,
             layer_tasks=first.layer_tasks,
         )
-        result = sim._score_on(shared, capture)
+        result = sim._score_on(shared, network.hops)
         results.append(
             sim.run(max_cycles_per_layer) if result is None else result
         )

@@ -56,7 +56,7 @@ import sys
 import numpy as np
 
 from repro.accelerator.config import AcceleratorConfig
-from repro.accelerator.simulator import run_model_on_noc
+from repro.accelerator.simulator import AcceleratorSimulator
 from repro.analysis.summary import reduction_rate
 from repro.dnn.datasets import synthetic_digits, synthetic_shapes
 from repro.dnn.models import build_model
@@ -82,8 +82,7 @@ from repro.hardware.linkpower import (
     LinkPowerModel,
 )
 from repro.hardware.synthesis import format_table2, model_table2, paper_table2
-from repro.noc.network import NoCConfig
-from repro.noc.recorder import TraceRecorder
+from repro.noc.network import Network, NoCConfig
 from repro.obs import (
     DEFAULT_WINDOW,
     bisect_divergence,
@@ -410,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 10)")
     t_heat.add_argument("--owners", action="store_true",
                         help="also attribute BTs to owning packets "
-                             "(needs a TraceRecorder capture)")
+                             "(needs per-hop packet ids, as every "
+                             "--trace capture has)")
 
     t_diff = trace_sub.add_parser(
         "diff", help="where two traces' per-window BT heat disagrees "
@@ -461,9 +461,9 @@ def _seed_or(args: argparse.Namespace, label: str, default: int) -> int:
     return derive_seed(args.seed, label)
 
 
-def _write_trace(recorder: TraceRecorder, noc_config, path: str) -> None:
-    """Persist a finished capture and print its summary line."""
-    trace = recorder.finish(noc_config)
+def _write_trace(network: Network, path: str) -> None:
+    """Save a drained network's trace and print its summary line."""
+    trace = TrafficTrace.from_network(network)
     trace.save(path)
     print(
         f"wrote trace {path} "
@@ -496,16 +496,13 @@ def _cmd_run_noc(args: argparse.Namespace) -> int:
             max_tasks_per_layer=args.tasks,
             seed=_seed_or(args, "tasks", 2025),
         )
+        result, network = AcceleratorSimulator(
+            config, model, image
+        ).simulate()
         # With --compare the trace captures the *requested* ordering's
         # run (the last method), not the O0 baseline.
-        recorder = (
-            TraceRecorder() if args.trace and method is methods[-1] else None
-        )
-        result = run_model_on_noc(
-            config, model, image, trace_collector=recorder
-        )
-        if recorder is not None:
-            _write_trace(recorder, config.noc_config(), args.trace)
+        if args.trace and method is methods[-1]:
+            _write_trace(network, args.trace)
         line = (
             f"{config.label()}: {result.total_bit_transitions} BTs, "
             f"{result.total_cycles} cycles, verified "
@@ -576,11 +573,10 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         n_packets=args.packets,
         seed=_seed_or(args, "traffic", 0),
     )
-    recorder = TraceRecorder() if args.trace else None
-    network = drive_synthetic(config, noc, trace_collector=recorder)
+    network = drive_synthetic(config, noc)
     stats = network.stats
-    if recorder is not None:
-        _write_trace(recorder, network.config, args.trace)
+    if args.trace:
+        _write_trace(network, args.trace)
     print(
         f"{args.pattern} on {args.mesh}: {stats.packets_delivered} packets, "
         f"{stats.cycles} cycles, {stats.total_bit_transitions} BTs, "
@@ -667,7 +663,8 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
         if not args.traces:
             raise SystemExit(
                 "--kind replay needs --traces (comma list of trace "
-                "files recorded with --trace or TraceRecorder)"
+                "files recorded with --trace or "
+                "TrafficTrace.from_network)"
             )
         if meshes is not None:
             raise SystemExit(

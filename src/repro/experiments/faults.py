@@ -267,9 +267,11 @@ def apply_fault_actions(actions: Iterable[dict[str, Any]]) -> None:
 
 #: Exception type names the runner treats as transient (retryable).
 #: JobTimeout / WorkerCrash are the supervisor's own synthetic classes;
-#: the OS-level ones cover flaky filesystems and broken pipes.  Real
-#: simulation bugs (ValueError, SimulationTimeout, ...) stay permanent:
-#: deterministic jobs fail the same way on every retry.
+#: the OS-level ones cover flaky filesystems and broken pipes, and
+#: ``ProtocolError`` is the service's torn frame
+#: (:class:`repro.service.protocol.ProtocolError`).  Real simulation
+#: bugs (ValueError, SimulationTimeout, the NoC's FlowControlError, ...)
+#: stay permanent: deterministic jobs fail the same way on every retry.
 TRANSIENT_ERROR_TYPES = frozenset(
     {
         "TransientFaultError",

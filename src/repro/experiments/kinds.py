@@ -64,6 +64,7 @@ from repro.dnn.datasets import synthetic_digits, synthetic_shapes
 from repro.dnn.models import ModelSpec, build_model
 from repro.experiments.hashing import derive_seed
 from repro.noc.network import NoCConfig
+from repro.noc.recorder import score_hops
 from repro.obs.metrics import merge_metrics
 from repro.noc.traffic import (
     SyntheticTrafficConfig,
@@ -725,7 +726,7 @@ class SyntheticJobKind(JobKind):
             "packets_delivered": stats.packets_delivered,
             "flits_injected": stats.flits_injected,
             "mean_packet_latency": stats.mean_latency,
-            "per_link": network.ledger.per_link(),
+            "per_link": score_hops(network.hops).per_link,
             "steps_executed": network.steps_executed,
             "idle_cycles_skipped": network.idle_cycles_skipped,
             "metrics": network.metrics_snapshot(),
@@ -886,7 +887,8 @@ class ReplayJobKind(JobKind):
             for core in cores
         }
         ledgers = {
-            core: net.ledger.per_link() for core, net in networks.items()
+            core: score_hops(net.hops).per_link
+            for core, net in networks.items()
         }
         if len(cores) == 2 and ledgers["event"] != ledgers["stepped"]:
             diverged = sorted(
@@ -900,9 +902,9 @@ class ReplayJobKind(JobKind):
             )
         net = networks[cores[0]]
         per_link = ledgers[cores[0]]
-        # Injection-link recorders (NI*.INJECT) exist only in the live
-        # ledger, never in the captured trace (record_injection=True
-        # configs).  Headline numbers therefore count the transmit-path
+        # Injection links (NI*.INJECT) exist only in the hop log, never
+        # in the captured trace (record_injection=True configs).
+        # Headline numbers therefore count the transmit-path
         # links the trace actually covers, so network rows stay
         # comparable with offline rows and with recorded_bit_transitions;
         # the unfiltered network-wide sum is kept alongside.

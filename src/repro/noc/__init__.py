@@ -1,4 +1,4 @@
-"""Cycle-accurate NoC simulator: mesh, wormhole routers, VCs, BT recording."""
+"""Cycle-accurate NoC simulator: mesh, wormhole routers, VCs, BT scoring."""
 
 from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Flit, FlitType, Packet, make_packet
@@ -10,12 +10,8 @@ from repro.noc.network import (
     NoCStats,
     SimulationTimeout,
 )
-from repro.noc.recorder import (
-    LinkRecorder,
-    TraceRecorder,
-    TransitionLedger,
-)
-from repro.noc.router import ProtocolError, Router, VCState
+from repro.noc.recorder import HopLog, HopScore, LinkHops, score_hops
+from repro.noc.router import FlowControlError, Router, VCState
 from repro.noc.statistics import (
     LinkLoad,
     link_loads,
@@ -51,10 +47,11 @@ __all__ = [
     "NoCConfig",
     "NoCStats",
     "SimulationTimeout",
-    "LinkRecorder",
-    "TransitionLedger",
-    "TraceRecorder",
-    "ProtocolError",
+    "HopLog",
+    "HopScore",
+    "LinkHops",
+    "score_hops",
+    "FlowControlError",
     "Router",
     "VCState",
     "LinkLoad",

@@ -4,13 +4,20 @@ The network advances in deterministic phases per cycle:
 
 1. every active router runs route computation / VC allocation,
 2. every active router runs switch allocation + link traversal
-   (BTs recorded here, arrivals and credits queued),
+   (each recorded hop is appended to the hop log, arrivals and
+   credits queued),
 3. NIs inject pending flits into their router's local port,
 4. queued arrivals and credits commit, becoming visible next cycle.
 
 This gives one-cycle link traversal and a one-cycle credit loop —
 the granularity at which the paper's BT phenomenon lives (consecutive
 flits on the same physical link).
+
+The cycle loop counts no BTs.  :attr:`Network.hops` logs, per recorded
+link, every flit with its cycle and output VC, plus every
+``send_packet`` call; scoring follows the drain:
+:func:`repro.noc.recorder.score_hops` turns the log into every BT
+number (the drivers here fill ``stats.total_bit_transitions`` from it).
 
 Two cycle-loop implementations ("cores") produce bit-identical results:
 
@@ -35,11 +42,11 @@ Two cycle-loop implementations ("cores") produce bit-identical results:
   equivalence suite (``tests/test_noc_eventcore.py``).
 
 Both cores share the routers, the NIs, and :meth:`Network.transmit`
-(per-hop BT recording with per-(router, outport) recorder handles that
+(per-hop logging through per-(router, outport) hop-list handles that
 are resolved once, not per hop).
 
 Construction builds no per-node containers.  The neighbour table, the
-recorder handles and the upstream credit handles are flat lists
+hop-list handles and the upstream credit handles are flat lists
 indexed ``node * len(Port) + port``; the table holds ints or ``None``,
 the handles start as ``None`` and bind on a link's first flit or
 credit, and routers and NIs build their own state on first use (see
@@ -58,8 +65,8 @@ from typing import Any, Sequence
 
 from repro.noc.flit import Flit, Packet
 from repro.noc.interface import NetworkInterface
-from repro.noc.recorder import LinkRecorder, TransitionLedger
-from repro.noc.router import ProtocolError, Router
+from repro.noc.recorder import HopLog, LinkHops, score_hops
+from repro.noc.router import FlowControlError, Router
 from repro.noc.routing import OPPOSITE, Port, routing_by_name
 
 _LOCAL = Port.LOCAL
@@ -213,7 +220,8 @@ class NoCStats:
         packets_injected / packets_delivered: packet counts.
         flits_injected / flit_hops: flit counts (hops include every
             link traversal, so one flit crossing 3 links counts 3).
-        total_bit_transitions: the Fig. 8 NoC-wide BT sum.
+        total_bit_transitions: the Fig. 8 NoC-wide BT sum, scored
+            from the hop log when a driver has drained the network.
         packet_latencies: per-delivered-packet latency in cycles.
     """
 
@@ -262,6 +270,10 @@ class Network:
         core: cycle-loop implementation, ``"event"`` or ``"stepped"``;
             ``None`` uses ``config.core`` when pinned, else ``"event"``
             (formerly a process-wide default that callers could change).
+
+    Attributes:
+        hops: the :class:`~repro.noc.recorder.HopLog` of every recorded
+            link traversal and packet send, scored after the drain.
     """
 
     def __init__(self, config: NoCConfig, core: str | None = None) -> None:
@@ -293,7 +305,7 @@ class Network:
             )
             for node in range(config.n_nodes)
         ]
-        self.ledger = TransitionLedger()
+        self.hops = HopLog(config.include_header_bits)
         self.stats = NoCStats()
         self.cycle = 0
         #: Cycles actually executed by :meth:`step`; on the event core
@@ -329,22 +341,19 @@ class Network:
         self._active_routers: set[int] = set()
         self._pending_nis: set[int] = set()
         # Per-hop fast paths: config scalars hoisted out of transmit(),
-        # a neighbour table and lazily bound per-link recorder handles,
+        # a neighbour table and lazily bound per-link hop-list handles,
         # both flat and indexed by node * len(Port) + port value, so the
-        # hot path never formats a link name or hashes into the ledger
+        # hot path never formats a link name or hashes into the log's
         # dict.  Handles are bound on first traversal (not precreated)
-        # so the ledger keeps containing exactly the links that carried
+        # so the log keeps containing exactly the links that carried
         # traffic.
         self._record_ejection = config.record_ejection
         self._record_injection = config.record_injection
-        self._include_header = config.include_header_bits
         self._link_latency = config.link_latency
         n_links = config.n_nodes * _N_PORTS
         self._neighbor_of = _flat_neighbors(config.width, config.height)
-        self._recorders: list[LinkRecorder | None] = [None] * n_links
-        self._inject_recorders: list[LinkRecorder | None] = (
-            [None] * config.n_nodes
-        )
+        self._link_hops: list[LinkHops | None] = [None] * n_links
+        self._inject_hops: list[LinkHops | None] = [None] * config.n_nodes
         self._opposite_of: list[Port | None] = [
             OPPOSITE.get(port) for port in Port
         ]
@@ -360,13 +369,6 @@ class Network:
         # first credit: the credit return path then touches no
         # router/dict lookups per hop.
         self._upstream_credits: list[list[int] | None] = [None] * n_links
-        # Optional per-link wire-image trace (see repro.workloads.traces
-        # and repro.noc.recorder.TraceRecorder): any object with
-        # record(link_name, bits, cycle, vc, flit), called with five
-        # positional arguments per recorded hop; if it also exposes
-        # record_send(cycle, packet), every packet injection event is
-        # captured too (what trace replay re-injects).
-        self.trace_collector = None
 
     # -- traffic interface ---------------------------------------------
 
@@ -386,11 +388,7 @@ class Network:
             raise ValueError(
                 f"packet id {packet.packet_id} is already in flight"
             )
-        collector = self.trace_collector
-        if collector is not None:
-            send_hook = getattr(collector, "record_send", None)
-            if send_hook is not None:
-                send_hook(self.cycle, packet)
+        self.hops.sends.append((self.cycle, packet))
         self._in_flight[packet.packet_id] = packet
         self.nis[packet.src].queue_packet(packet)
         self._pending_nis.add(packet.src)
@@ -408,38 +406,19 @@ class Network:
     ) -> None:
         """Carry one flit over ``router``'s ``out_port`` link."""
         node = router.node_id
-        stats = self.stats
         # Port is an IntEnum: indexing lists with it directly avoids
         # the enum .value descriptor on the per-hop path.
         local = out_port is _LOCAL
         link = node * _N_PORTS + out_port
         if not local or self._record_ejection:
-            recorder = self._recorders[link]
-            if recorder is None:
-                recorder = self.ledger.recorder_for(
-                    f"R{node}.{out_port.name}"
-                )
-                self._recorders[link] = recorder
-            # With header bits excluded (the default) the wire image is
-            # exactly the payload — skip the wire_bits() call per hop.
-            bits = (
-                flit.wire_bits(True) if self._include_header else flit.payload
-            )
-            # LinkRecorder.record() unrolled: one flit hop is the
-            # hottest line of the whole simulator.
-            prev = recorder.previous
-            caused = 0 if prev is None else (prev ^ bits).bit_count()
-            recorder.transitions += caused
-            recorder.flits += 1
-            recorder.previous = bits
-            ledger = self.ledger
-            ledger._total_transitions += caused
-            ledger._total_flits += 1
-            stats.total_bit_transitions += caused
-            collector = self.trace_collector
-            if collector is not None:
-                collector.record(recorder.name, bits, self.cycle, out_vc, flit)
-        stats.flit_hops += 1
+            hops = self._link_hops[link]
+            if hops is None:
+                hops = self.hops.link(f"R{node}.{out_port.name}")
+                self._link_hops[link] = hops
+            hops.flits.append(flit)
+            hops.cycles.append(self.cycle)
+            hops.vcs.append(out_vc)
+        self.stats.flit_hops += 1
         if local:
             self._ejections.append((node, flit))
             return
@@ -576,16 +555,15 @@ class Network:
         self.steps_executed += 1
 
     def _record_injected(self, node: int, injected: list[Flit]) -> None:
-        """Account NI->router injection-link BTs for injected flits."""
-        recorder = self._inject_recorders[node]
-        if recorder is None:
-            recorder = self.ledger.recorder_for(f"NI{node}.INJECT")
-            self._inject_recorders[node] = recorder
-        include_header = self._include_header
-        for flit in injected:
-            self.stats.total_bit_transitions += recorder.record(
-                flit.wire_bits(True) if include_header else flit.payload
-            )
+        """Log injected flits on the node's NI->router injection link."""
+        hops = self._inject_hops[node]
+        if hops is None:
+            hops = self.hops.link(f"NI{node}.INJECT")
+            self._inject_hops[node] = hops
+        n = len(injected)
+        hops.flits.extend(injected)
+        hops.cycles.extend([self.cycle] * n)
+        hops.vcs.extend([-1] * n)
 
     def _commit_ejections(self, cycle: int) -> None:
         """Deliver ejected flits to their NIs; complete tail packets."""
@@ -608,7 +586,7 @@ class Network:
             if credit_list[vc_idx] > vc_depth:
                 upstream = self._neighbor_of[node * _N_PORTS + port_idx]
                 out_port = self._opposite_of[port_idx]
-                raise ProtocolError(
+                raise FlowControlError(
                     f"credit overflow at router {upstream} "
                     f"port {out_port.name}"
                 )
@@ -687,7 +665,8 @@ class Network:
         return any(ni.has_pending_tx for ni in self.nis)
 
     def run_until_drained(self, max_cycles: int = 1_000_000) -> NoCStats:
-        """Step until all traffic is delivered (or the budget runs out)."""
+        """Step until all traffic is delivered (or the budget runs out),
+        then score the hop log into ``stats.total_bit_transitions``."""
         event = self.event_core
         while self.has_work:
             if event and self.is_idle and self._arrivals:
@@ -699,4 +678,5 @@ class Network:
                     f"{self.stats.packets_injected} packets delivered)"
                 )
             self.step()
+        self.stats.total_bit_transitions = score_hops(self.hops).total
         return self.stats

@@ -1,218 +1,169 @@
-"""Per-outport BT recording, exactly the Fig. 8 scheme.
+"""The hop log and the one BT scorer (the Fig. 8 scheme, after the run).
 
-Every recorded link keeps a ``Flit_pre`` register holding the bits of
-the previous flit that crossed it; each traversal XORs the new flit
-against the register and accumulates the popcount into the NoC-wide
-sum.  Recording is measurement-only — the paper stresses that the flit
-storage and summation are not part of the design overhead.
+Fig. 8 keeps a ``Flit_pre`` register per router outport: every flit
+that crosses the link is XORed against the register, the popcount is
+added to the NoC-wide sum, and the register takes the new flit.  The
+recorder is measurement-only, so it can just as well run after the
+cycle loop: the network only *logs* what crossed which link and when
+(:class:`HopLog`), and :func:`score_hops` replays the registers over
+that log once the traffic has drained.
 
-The ledger keeps *running* totals, updated by every
-:meth:`LinkRecorder.record` call, so reading
-:attr:`TransitionLedger.total_transitions` or
-:attr:`TransitionLedger.total_flit_traversals` is O(1) instead of a
-full sweep over all recorders — they are polled per drain loop in the
-hot simulation paths.  Per-link snapshots (:meth:`per_link`) are
-unchanged.
+Every BT number the code reports comes from :func:`score_hops`: the
+per-link table and total, flits per link, per-cycle-window sums (the
+layers of an accelerator run), per-owner sums (serving tenants), and
+the same numbers under substituted wire images (scoring another coding
+on a shared schedule).  Loaded trace files keep their own array
+scorer (:meth:`repro.workloads.traces.TrafficTrace.per_link_transitions`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from itertools import accumulate, islice
+from operator import attrgetter, xor
+from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (layer inversion)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.noc.flit import Flit, Packet
-    from repro.workloads.traces import TrafficTrace
 
-__all__ = ["LinkRecorder", "TransitionLedger", "TraceRecorder"]
+__all__ = ["LinkHops", "HopLog", "HopScore", "score_hops"]
+
+_payload = attrgetter("payload")
 
 
-@dataclass
-class LinkRecorder:
-    """BT recorder for one physical link (one router outport).
+class LinkHops:
+    """Every recorded traversal of one link, in traversal order.
 
-    Attributes:
-        name: link label, e.g. "R5.EAST" or "R3.LOCAL".
-        previous: bits of the last flit that crossed ("Flit_pre");
-            None before the first traversal.
-        transitions: accumulated BT count on this link.
-        flits: number of flits that crossed.
-        ledger: owning ledger whose running totals this recorder
-            feeds, if any (set by :meth:`TransitionLedger.recorder_for`).
+    Three parallel lists: the flit, the cycle it crossed on, and its
+    output VC (``-1`` on NI injection links, which have no outport).
+    The network appends to them per hop; nothing else is stored.
     """
 
-    name: str
-    previous: int | None = None
-    transitions: int = 0
-    flits: int = 0
-    ledger: "TransitionLedger | None" = field(
-        default=None, repr=False, compare=False
-    )
-
-    def record(self, bits: int) -> int:
-        """Account one flit traversal; returns the BTs it caused."""
-        previous = self.previous
-        # Inline popcount: bits are validated non-negative at flit
-        # construction, and this runs once per flit hop.
-        caused = 0 if previous is None else (previous ^ bits).bit_count()
-        self.transitions += caused
-        self.flits += 1
-        self.previous = bits
-        ledger = self.ledger
-        if ledger is not None:
-            ledger._total_transitions += caused
-            ledger._total_flits += 1
-        return caused
-
-
-@dataclass
-class TransitionLedger:
-    """NoC-wide aggregation over all link recorders.
-
-    Attributes:
-        recorders: link-name -> recorder.
-    """
-
-    recorders: dict[str, LinkRecorder] = field(default_factory=dict)
-    _total_transitions: int = field(default=0, repr=False)
-    _total_flits: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        # Adopt recorders handed in at construction time so the running
-        # totals stay consistent with their accumulated state.
-        for rec in self.recorders.values():
-            self.adopt(rec)
-
-    def adopt(self, rec: LinkRecorder) -> LinkRecorder:
-        """Register an existing recorder and fold in its history."""
-        if rec.ledger is self:
-            return rec
-        if rec.ledger is not None:
-            raise ValueError(
-                f"recorder {rec.name!r} already belongs to another ledger"
-            )
-        rec.ledger = self
-        self.recorders[rec.name] = rec
-        self._total_transitions += rec.transitions
-        self._total_flits += rec.flits
-        return rec
-
-    def recorder_for(self, name: str) -> LinkRecorder:
-        """Get (or lazily create) the recorder for a link."""
-        rec = self.recorders.get(name)
-        if rec is None:
-            rec = LinkRecorder(name=name, ledger=self)
-            self.recorders[name] = rec
-        return rec
-
-    @property
-    def total_transitions(self) -> int:
-        """The "NoC Bit Transition Sum" of Fig. 8 — a running counter."""
-        return self._total_transitions
-
-    @property
-    def total_flit_traversals(self) -> int:
-        """Total flit-hops across all recorded links — a running counter."""
-        return self._total_flits
-
-    def per_link(self) -> dict[str, int]:
-        """Snapshot of per-link BT counts."""
-        return {name: rec.transitions for name, rec in self.recorders.items()}
-
-
-class TraceRecorder:
-    """Full-fidelity capture hook for trace record & replay.
-
-    Attach one to :attr:`Network.trace_collector` before a run::
-
-        network.trace_collector = TraceRecorder()
-        ... run ...
-        trace = network.trace_collector.finish(network.config)
-        trace.save("run.trace.gz")
-
-    Two event streams are captured:
-
-    * per-link *hop* events — the wire image, traversal cycle, output
-      VC, and owning packet of every flit that crossed a recorded link
-      (the Fig. 8 measurement surface, in exact traversal order);
-    * packet *injection* events — (cycle, src, dst, per-flit payloads)
-      for every :meth:`Network.send_packet` call, which is precisely
-      the schedule trace replay re-injects through a fresh network.
-
-    Unlike the lighter :class:`repro.workloads.traces.TraceCollector`
-    (wire images + cycles only), a finished TraceRecorder trace can be
-    replayed *through* either network core, not just re-scored offline.
-    """
+    __slots__ = ("flits", "cycles", "vcs")
 
     def __init__(self) -> None:
-        # Parallel per-link lists, appended in traversal order.
-        self._links: dict[str, list[int]] = {}
-        self._cycles: dict[str, list[int]] = {}
-        self._vcs: dict[str, list[int]] = {}
-        self._packet_ids: dict[str, list[int]] = {}
-        # (cycle, src, dst, payloads) injection events in send order.
-        self._sends: list[tuple[int, int, int, tuple[int, ...]]] = []
+        self.flits: list[Flit] = []
+        self.cycles: list[int] = []
+        self.vcs: list[int] = []
 
-    def record(
-        self,
-        link_name: str,
-        bits: int,
-        cycle: int,
-        vc: int = 0,
-        flit: "Flit | None" = None,
-    ) -> None:
-        """Network hook: one flit crossed ``link_name``."""
-        links = self._links.get(link_name)
-        if links is None:
-            links = self._links[link_name] = []
-            self._cycles[link_name] = []
-            self._vcs[link_name] = []
-            self._packet_ids[link_name] = []
-        links.append(bits)
-        self._cycles[link_name].append(cycle)
-        self._vcs[link_name].append(vc)
-        self._packet_ids[link_name].append(
-            -1 if flit is None else flit.packet_id
+
+class HopLog:
+    """What crossed which recorded link on which cycle, and every send.
+
+    Attributes:
+        links: link name -> :class:`LinkHops`, in order of each link's
+            first traversal ("R5.EAST" for router outports,
+            "NI3.INJECT" for injection links).
+        sends: ``(cycle, packet)`` of every ``send_packet`` call, in
+            call order.
+        include_header: wire images carry the side-band header word
+            (``NoCConfig.include_header_bits``).
+
+    A log belongs to one :class:`~repro.noc.network.Network` and holds
+    references only, so it lives exactly as long as its network.
+    """
+
+    __slots__ = ("links", "sends", "include_header")
+
+    def __init__(self, include_header: bool = False) -> None:
+        self.links: dict[str, LinkHops] = {}
+        self.sends: list[tuple[int, Packet]] = []
+        self.include_header = include_header
+
+    def link(self, name: str) -> LinkHops:
+        """The hop lists of ``name``, created on its first traversal."""
+        hops = self.links.get(name)
+        if hops is None:
+            hops = self.links[name] = LinkHops()
+        return hops
+
+    def wire_image(self, flit: "Flit") -> int:
+        """The bits ``flit`` puts on the wire (Fig. 8's recorded image)."""
+        return flit.wire_bits(True) if self.include_header else flit.payload
+
+
+@dataclass(frozen=True)
+class HopScore:
+    """BTs of one hop log (see :func:`score_hops`).
+
+    Attributes:
+        per_link: link name -> BTs, in the log's link order.
+        flits: link name -> flits that crossed it.
+        total: the Fig. 8 NoC-wide sum.
+        windows: BTs per cycle window (one entry per window).
+        owner_transitions / owner_flits: BTs and flits per owner; the
+            ``None`` key collects flits without an owner.
+    """
+
+    per_link: dict[str, int]
+    flits: dict[str, int]
+    total: int
+    windows: list[int] = field(default_factory=list)
+    owner_transitions: dict[Hashable, int] = field(default_factory=dict)
+    owner_flits: dict[Hashable, int] = field(default_factory=dict)
+
+
+def score_hops(
+    log: HopLog,
+    *,
+    wire: Callable[["Flit"], int] | None = None,
+    cuts: Sequence[int] | None = None,
+    owner: Callable[["Flit"], Hashable] | None = None,
+) -> HopScore:
+    """Replay the Fig. 8 registers over a hop log.
+
+    Per link, the first flit is free and every later flit costs
+    ``popcount(previous ^ current)``.
+
+    Args:
+        log: the drained network's hop log.
+        wire: wire image of a flit; defaults to what the network put
+            on the wire (:meth:`HopLog.wire_image`).  Pass another to
+            score different payloads on the same schedule.
+        cuts: ascending cycle boundaries splitting the run into
+            ``len(cuts) + 1`` windows; a hop on cycle ``c`` falls in
+            window ``bisect_right(cuts, c)``.  ``None`` skips windows.
+        owner: owner of a flit (``None`` for none); ``None`` skips the
+            per-owner sums.  A flit's BTs go to the flit that caused
+            them, i.e. the later of the two.
+    """
+    if wire is None:
+        wire = log.wire_image if log.include_header else _payload
+    n_windows = 0 if cuts is None else len(cuts) + 1
+    windows = [0] * n_windows
+    per_link: dict[str, int] = {}
+    flits: dict[str, int] = {}
+    owner_bts: dict[Hashable, int] = {}
+    owner_flits: dict[Hashable, int] = {}
+    for name, hops in log.links.items():
+        images = list(map(wire, hops.flits))
+        caused = list(
+            map(int.bit_count, map(xor, images, islice(images, 1, None)))
         )
-
-    def record_send(self, cycle: int, packet: "Packet") -> None:
-        """Network hook: one packet was queued for injection."""
-        self._sends.append(
-            (
-                cycle,
-                packet.src,
-                packet.dst,
-                tuple(flit.payload for flit in packet.flits),
-            )
-        )
-
-    def finish(self, config: Any) -> "TrafficTrace":
-        """Freeze the capture into a replayable trace.
-
-        Args:
-            config: the network's :class:`NoCConfig` (recorded into the
-                trace so replay can rebuild an identical mesh), or a
-                plain link width in bits for config-less captures.
-        """
-        # Imported here: repro.noc must stay importable without the
-        # workloads layer (which imports bits/ordering on top of it).
-        from repro.workloads.traces import PacketEvent, TrafficTrace
-
-        if isinstance(config, int):
-            link_width, noc = config, None
-        else:
-            link_width, noc = config.link_width, config.to_dict()
-        # Lists go straight to TrafficTrace.__post_init__, which wraps
-        # each column in an array-backed WordArray — no tuple detour.
-        return TrafficTrace(
-            link_width=link_width,
-            links=dict(self._links),
-            cycles=dict(self._cycles),
-            vcs=dict(self._vcs),
-            packet_ids=dict(self._packet_ids),
-            packets=tuple(
-                PacketEvent(cycle=c, src=s, dst=d, payloads=p)
-                for c, s, d, p in self._sends
-            ),
-            noc=noc,
-        )
+        per_link[name] = sum(caused)
+        flits[name] = len(images)
+        if n_windows:
+            # caused[i] belongs to hop i + 1; cycles ascend per link.
+            before = [0, *accumulate(caused)]
+            lo = 0
+            for w, cut in enumerate(cuts):
+                hi = max(bisect_left(hops.cycles, cut), 1) - 1
+                windows[w] += before[hi] - before[lo]
+                lo = hi
+            windows[-1] += before[-1] - before[lo]
+        if owner is not None:
+            owners = list(map(owner, hops.flits))
+            for who in owners:
+                owner_flits[who] = owner_flits.get(who, 0) + 1
+            for who, bts in zip(islice(owners, 1, None), caused):
+                owner_bts[who] = owner_bts.get(who, 0) + bts
+    return HopScore(
+        per_link=per_link,
+        flits=flits,
+        total=sum(per_link.values()),
+        windows=windows,
+        owner_transitions=owner_bts,
+        owner_flits=owner_flits,
+    )

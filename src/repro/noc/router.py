@@ -55,7 +55,7 @@ from repro.noc.routing import Port, RouteFn
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.noc.network import Network
 
-__all__ = ["VCState", "Router", "ProtocolError"]
+__all__ = ["VCState", "Router", "FlowControlError"]
 
 _LOCAL = Port.LOCAL
 _N_PORTS = len(Port)
@@ -76,8 +76,10 @@ def _slot_tables(n_vcs: int) -> tuple[list[Port], list[int]]:
     return tables
 
 
-class ProtocolError(RuntimeError):
-    """Raised when the wormhole protocol invariants are violated."""
+class FlowControlError(RuntimeError):
+    """Raised when the wormhole flow-control invariants are violated
+    (credits, buffers, VC allocation): a simulator bug, never retried.
+    """
 
 
 class VCState:
@@ -222,7 +224,7 @@ class Router:
                 head = state.fifo[0]
                 if state.out_port is None:
                     if not head.is_head:
-                        raise ProtocolError(
+                        raise FlowControlError(
                             f"router {self.node_id}: body/tail flit of packet "
                             f"{head.packet_id} at VC head without a route"
                         )
@@ -335,7 +337,7 @@ class Router:
                 out_port = state.out_port
                 if out_port is None:
                     if not head.is_head:
-                        raise ProtocolError(
+                        raise FlowControlError(
                             f"router {self.node_id}: body/tail flit of "
                             f"packet {head.packet_id} at VC head without "
                             "a route"
@@ -370,7 +372,7 @@ class Router:
                 out_port = state.out_port
                 if out_port is None:
                     if not head.is_head:
-                        raise ProtocolError(
+                        raise FlowControlError(
                             f"router {self.node_id}: body/tail flit of packet "
                             f"{head.packet_id} at VC head without a route"
                         )
@@ -460,14 +462,14 @@ class Router:
             self._occupied.discard(flat)
         out_vc = state.out_vc
         if out_vc is None:
-            raise ProtocolError("traversal without an allocated VC")
+            raise FlowControlError("traversal without an allocated VC")
         local = out_port is _LOCAL
         if not local:
             port_credits = self._credits[out_port]
             credits_left = port_credits[out_vc] - 1
             port_credits[out_vc] = credits_left
             if credits_left < 0:
-                raise ProtocolError(
+                raise FlowControlError(
                     f"router {self.node_id} port {out_port.name} "
                     f"VC {out_vc}: credit underflow"
                 )
@@ -499,7 +501,7 @@ class Router:
         if state is None:
             state = slots[flat] = VCState(self.vc_depth)
         elif len(state.fifo) >= state.capacity:
-            raise ProtocolError(
+            raise FlowControlError(
                 f"router {self.node_id} port {self._slot_port[flat].name} "
                 f"VC {self._slot_vc[flat]}: "
                 "buffer overflow (credit protocol violated)"

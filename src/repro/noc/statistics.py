@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.noc.network import Network
+from repro.noc.recorder import score_hops
 from repro.noc.routing import Port
 from repro.noc.topology import coordinates
 
@@ -47,18 +48,19 @@ class LinkLoad:
 
 def link_loads(network: Network) -> list[LinkLoad]:
     """Per-link loads of a finished run, busiest first."""
+    score = score_hops(network.hops)
     loads = []
-    for name, recorder in network.ledger.recorders.items():
+    for name, transitions in score.per_link.items():
         if not name.startswith("R"):
-            continue  # NI injection recorders are not router outports
+            continue  # NI injection links are not router outports
         router_str, port_str = name[1:].split(".")
         loads.append(
             LinkLoad(
                 name=name,
                 router=int(router_str),
                 port=Port[port_str],
-                flits=recorder.flits,
-                transitions=recorder.transitions,
+                flits=score.flits[name],
+                transitions=transitions,
             )
         )
     loads.sort(key=lambda l: -l.transitions)

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.noc.flit import Packet, make_packet
 from repro.noc.network import Network, NoCConfig, NoCStats
+from repro.noc.recorder import score_hops
 from repro.noc.topology import coordinates, node_id
 
 __all__ = [
@@ -231,7 +232,8 @@ def drive_schedule(
 
     The shared injection loop of synthetic traffic and trace replay:
     events must be sorted by cycle (recorded schedules are — the
-    network clock is monotonic).  Returns the drained network.
+    network clock is monotonic).  Returns the drained network, its
+    hop log scored into ``stats.total_bit_transitions``.
     """
     idx = 0
     n_events = len(events)
@@ -258,6 +260,7 @@ def drive_schedule(
                 f"scheduled run exceeded {max_cycles} cycles"
             )
         network.step()
+    network.stats.total_bit_transitions = score_hops(network.hops).total
     return network
 
 
@@ -265,17 +268,14 @@ def drive_synthetic(
     config: SyntheticTrafficConfig,
     noc_config: NoCConfig,
     max_cycles: int = 500_000,
-    trace_collector: Any = None,
 ) -> Network:
     """Drive a synthetic workload through a fresh network.
 
     Returns the drained :class:`Network` so callers can read both the
-    aggregate ``stats`` and the per-link ``ledger`` (the campaign
-    engine's per-link pivots need the latter).  ``trace_collector``
-    optionally captures the run (see :mod:`repro.workloads.traces`).
+    aggregate ``stats`` and the hop log (the campaign engine's per-link
+    pivots and trace captures read the latter).
     """
     network = Network(noc_config)
-    network.trace_collector = trace_collector
     pending = list(generate_traffic(config, noc_config))
     return drive_schedule(network, pending, max_cycles=max_cycles)
 

@@ -106,7 +106,7 @@ def _require_cycles(trace: TrafficTrace) -> None:
         raise ValueError(
             "trace carries no per-hop cycles for links "
             f"{sorted(missing)}; cycle-window analytics need a capture "
-            "with timing (TraceCollector or TraceRecorder)"
+            "with timing (TrafficTrace.from_network)"
         )
 
 
@@ -186,8 +186,9 @@ def bt_by_owner(trace: TrafficTrace) -> Dict[int, int]:
 
     Hop ``i``'s transitions are charged to the packet that drove the
     new wire image (``packet_ids[name][i]``); ``-1`` collects hops
-    with an unknown owner.  Requires a full-fidelity capture
-    (:class:`~repro.noc.recorder.TraceRecorder`).
+    with an unknown owner.  Requires per-hop packet ids, which every
+    capture (:meth:`~repro.workloads.traces.TrafficTrace.from_network`)
+    carries.
     """
     missing = [
         name
@@ -198,8 +199,8 @@ def bt_by_owner(trace: TrafficTrace) -> Dict[int, int]:
     if missing:
         raise ValueError(
             "trace carries no per-hop packet ids for links "
-            f"{sorted(missing)}; record with TraceRecorder for "
-            "owner attribution"
+            f"{sorted(missing)}; capture with TrafficTrace.from_network "
+            "for owner attribution"
         )
     out: Dict[int, int] = {}
     for name, payloads in trace.links.items():

@@ -245,22 +245,18 @@ def _replay_prefix(
     """Per-link BT totals of replaying injections in ``[0, stop)``.
 
     Edge-safe: the replay drains fully past ``stop``, so scoring the
-    drained ledger directly would charge hops the offline prefix slice
-    excludes (and miss in-flight traffic an earlier injection carried
-    into the window — :func:`trace_slice` filters hops and injections
-    independently).  Instead the replayed traffic is re-captured with
-    a :class:`~repro.noc.recorder.TraceRecorder` and scored through
-    the *same* hop-cycle slice as the offline probe, so both probe
-    modes agree at window boundaries.
+    drained network's whole hop log would charge hops the offline
+    prefix slice excludes (and miss in-flight traffic an earlier
+    injection carried into the window — :func:`trace_slice` filters
+    hops and injections independently).  Instead the replayed traffic
+    is re-captured with :meth:`TrafficTrace.from_network` and scored
+    through the *same* hop-cycle slice as the offline probe, so both
+    probe modes agree at window boundaries.
     """
-    from repro.noc.recorder import TraceRecorder
-
-    recorder = TraceRecorder()
     network = replay_window(
-        trace, 0, stop, core=core, max_cycles=max_cycles,
-        trace_collector=recorder,
+        trace, 0, stop, core=core, max_cycles=max_cycles
     )
-    replayed = recorder.finish(network.config)
+    replayed = TrafficTrace.from_network(network)
     return {
         name: bts
         for name, bts in trace_slice(
@@ -288,8 +284,8 @@ def bisect_divergence(
       on any timed capture, including non-replayable ``reordered``
       re-encodes).
     - ``"replay"``: re-inject each trace's windowed packet schedule
-      through a fresh network and compare the live ledgers (the
-      expensive oracle; needs full-fidelity captures on both sides).
+      through a fresh network and compare the re-captured traffic (the
+      expensive oracle; needs replayable captures on both sides).
 
     Prefix BT deltas can cancel (a +5 window followed by a -5 window
     leaves the prefix equal), so after the search the result is

@@ -7,13 +7,13 @@ fleet on one NoC:
    (:func:`repro.accelerator.mapping.partition_mesh`).
 2. Each tenant's *request template* is built once.  Model tenants run
    one partition-restricted inference through
-   :class:`~repro.accelerator.simulator.AcceleratorSimulator` with a
-   schedule-capturing collector; the captured injection schedule *is*
-   the template, so replaying it reproduces the inference's wire
-   traffic exactly (per-link BTs are shift-invariant: a constant shift
-   of every injection cycle preserves all relative timing and hence
-   every per-link flit sequence).  Synthetic tenants get a burst of
-   pattern traffic per request.
+   :class:`~repro.accelerator.simulator.AcceleratorSimulator`; the
+   send log of its network's hop log *is* the template, so replaying
+   it reproduces the inference's wire traffic exactly (per-link BTs
+   are shift-invariant: a constant shift of every injection cycle
+   preserves all relative timing and hence every per-link flit
+   sequence).  Synthetic tenants get a burst of pattern traffic per
+   request.
 3. Open-loop arrivals are pre-generated per tenant
    (:func:`repro.noc.traffic.poisson_arrivals` /
    :func:`~repro.noc.traffic.trace_arrivals`) — sampling outside the
@@ -23,10 +23,10 @@ fleet on one NoC:
    schedule; per-tenant admission caps and batch windows apply at
    arrival time.
 5. Delivery sinks account per-packet and per-request latency per
-   tenant; a trace-hook tracker attributes every recorded link
-   transition to the owning tenant (mirroring
-   :class:`~repro.noc.recorder.LinkRecorder`'s first-traversal-free
-   semantics, so tenant BTs sum exactly to the ledger total).
+   tenant.  After the drain, :func:`~repro.noc.recorder.score_hops`
+   scores the network's hop log once, attributing every link
+   transition to the tenant that owns the flit causing it, so tenant
+   BTs sum exactly to the network total.
 
 A single-tenant fleet given the whole mesh with zero background
 arrivals therefore reproduces the corresponding ``model`` job's BT
@@ -46,7 +46,6 @@ import numpy as np
 from repro.accelerator.config import AcceleratorConfig, link_width_for
 from repro.accelerator.mapping import partition_mesh, placement_for_nodes
 from repro.accelerator.simulator import AcceleratorSimulator
-from repro.bits.popcount import popcount
 from repro.dnn.datasets import synthetic_digits, synthetic_shapes
 from repro.dnn.models import ModelSpec, build_model
 from repro.noc.flit import Packet, make_packet
@@ -56,6 +55,7 @@ from repro.noc.network import (
     SimulationTimeout,
     percentile,
 )
+from repro.noc.recorder import score_hops
 from repro.noc.topology import manhattan_distance, node_id
 from repro.noc.traffic import (
     TrafficPattern,
@@ -73,51 +73,6 @@ __all__ = ["TenantStats", "ServingResult", "run_serving"]
 
 #: (cycle, src, dst, payloads) — one template injection event.
 _Event = tuple[int, int, int, tuple[int, ...]]
-
-
-class _ScheduleCollector:
-    """Trace collector that captures the injection schedule only."""
-
-    def __init__(self) -> None:
-        self.events: list[_Event] = []
-
-    def record(self, name, bits, cycle, vc, flit) -> None:
-        """Per-hop hook: unused, but part of the collector protocol."""
-
-    def record_send(self, cycle: int, packet: Packet) -> None:
-        self.events.append(
-            (
-                cycle,
-                packet.src,
-                packet.dst,
-                tuple(f.payload for f in packet.flits),
-            )
-        )
-
-
-class _TenantTracker:
-    """Attribute recorded link transitions to the owning tenant.
-
-    Mirrors :class:`~repro.noc.recorder.LinkRecorder` exactly — per
-    link, the first traversal causes zero transitions — and the trace
-    hook fires precisely where the ledger records, so the per-tenant
-    totals sum to ``stats.total_bit_transitions``.
-    """
-
-    def __init__(self, n_tenants: int) -> None:
-        self.previous: dict[str, int] = {}
-        self.transitions = [0] * n_tenants
-        self.flits = [0] * n_tenants
-        self.tenant_of: dict[int, int] = {}  # packet_id -> tenant index
-
-    def record(self, name, bits, cycle, vc, flit) -> None:
-        prev = self.previous.get(name)
-        caused = 0 if prev is None else popcount(prev ^ bits)
-        self.previous[name] = bits
-        tenant = self.tenant_of.get(flit.packet_id)
-        if tenant is not None:
-            self.transitions[tenant] += caused
-            self.flits[tenant] += 1
 
 
 @dataclass
@@ -278,13 +233,18 @@ def _model_template(
     placement = placement_for_nodes(
         noc.width, noc.height, config.n_mcs, nodes
     )
-    collector = _ScheduleCollector()
     sim = AcceleratorSimulator(acc, model, image, placement=placement)
     # The capture run is workload preparation, not fleet measurement:
     # keep its counters out of any active metrics registry.
     with metrics_suspended():
-        sim.run(max_cycles_per_layer=max_cycles, trace_collector=collector)
-    events = sorted(collector.events, key=lambda e: e[0])
+        _, network = sim.simulate(max_cycles_per_layer=max_cycles)
+    events = sorted(
+        (
+            (cycle, p.src, p.dst, tuple(f.payload for f in p.flits))
+            for cycle, p in network.hops.sends
+        ),
+        key=lambda e: e[0],
+    )
     if events:
         base = events[0][0]
         events = [(c - base, s, d, p) for c, s, d, p in events]
@@ -370,8 +330,8 @@ def run_serving(
         config: the fleet.
         noc: the shared mesh; defaults to the mesh a model job with
             the fleet's data format would use.  ``record_injection``
-            must be off (per-tenant BT attribution mirrors the ledger,
-            which the injection recorders would double-count).
+            must be off (tenant BT attribution covers the transmit
+            links; injection links would double-count each flit).
         max_cycles: total cycle budget, and the per-layer drain budget
             of model-tenant template captures.
     """
@@ -426,8 +386,7 @@ def run_serving(
 
     # -- drive -----------------------------------------------------------
     network = Network(noc)
-    tracker = _TenantTracker(len(config.tenants))
-    network.trace_collector = tracker
+    tenant_of: dict[int, int] = {}  # packet_id -> tenant index
 
     outstanding = [0] * len(config.tenants)
     arrival_cycle: dict[tuple[int, int], int] = {}
@@ -491,7 +450,7 @@ def run_serving(
                 metadata={"tenant": t_idx, "request": r_idx},
                 packet_id=next(packet_ids),
             )
-            tracker.tenant_of[packet.packet_id] = t_idx
+            tenant_of[packet.packet_id] = t_idx
             tstats.packets_injected += 1
             heappush(heap, (start + cycle, next(seq), packet))
 
@@ -523,9 +482,12 @@ def run_serving(
         network.step()
 
     # -- accounting ------------------------------------------------------
+    score = score_hops(
+        network.hops, owner=lambda flit: tenant_of.get(flit.packet_id)
+    )
     for t_idx, tstats in enumerate(stats):
-        tstats.bit_transitions = tracker.transitions[t_idx]
-        tstats.flit_hops = tracker.flits[t_idx]
+        tstats.bit_transitions = score.owner_transitions.get(t_idx, 0)
+        tstats.flit_hops = score.owner_flits.get(t_idx, 0)
 
     net_stats = network.stats
     metrics: dict[str, int] = network.metrics_snapshot()
@@ -553,13 +515,13 @@ def run_serving(
         noc=noc,
         tenants=stats,
         total_cycles=net_stats.cycles,
-        total_bit_transitions=net_stats.total_bit_transitions,
+        total_bit_transitions=score.total,
         flit_hops=net_stats.flit_hops,
         packets_injected=net_stats.packets_injected,
         packets_delivered=net_stats.packets_delivered,
         flits_injected=net_stats.flits_injected,
         packet_latencies=list(net_stats.packet_latencies),
-        per_link=network.ledger.per_link(),
+        per_link=score.per_link,
         steps_executed=network.steps_executed,
         idle_cycles_skipped=network.idle_cycles_skipped,
         metrics=metrics,

@@ -11,7 +11,6 @@ from repro.workloads.packets import (
 )
 from repro.workloads.traces import (
     PacketEvent,
-    TraceCollector,
     TrafficTrace,
     reencode_per_link,
     reencode_transitions,
@@ -40,7 +39,6 @@ __all__ = [
     "trained_lenet_weights",
     "words_for_format",
     "PacketEvent",
-    "TraceCollector",
     "TrafficTrace",
     "reencode_per_link",
     "reencode_transitions",

@@ -2,16 +2,14 @@
 
 NocDAS exposes a "packet traffic trace" output (Fig. 7); the equivalent
 here is a per-link record of every wire image in traversal order, plus
-the packet injection schedule that produced it.  Two capture hooks
-exist:
-
-* :class:`TraceCollector` (this module) — the lightweight wire-image
-  collector: link payloads and cycles only, enough for offline BT
-  re-scoring and the link-coding studies.
-* :class:`repro.noc.recorder.TraceRecorder` — the full-fidelity hook:
-  wire images with VC and owning packet per hop, plus every
-  ``send_packet`` event, enough to *replay* the identical traffic
-  through a fresh network (either cycle-loop core).
+the packet injection schedule that produced it.  There is one capture
+path: every :class:`~repro.noc.network.Network` logs its hops
+(:class:`repro.noc.recorder.HopLog`), and
+:meth:`TrafficTrace.from_network` freezes a drained network's log into
+a trace — wire image, cycle, output VC and owning packet per hop on
+every router outport, plus every ``send_packet`` event, enough to
+*replay* the identical traffic through a fresh network (either
+cycle-loop core).  NI injection links are not traced.
 
 On-disk format
 --------------
@@ -27,12 +25,13 @@ sniffs compression and rejects any other version (including the
 retired plain-JSON version 1); truncated or corrupt files raise
 :class:`ValueError` rather than leaking codec internals.
 
-Offline, a trace supports exact BT recomputation (validated against the
-live recorders), re-applying the paper's transmission ordering at flit
-granularity (:meth:`TrafficTrace.reordered`), re-encoding with the
-related-work link codings (bus invert / delta) without re-running the
-simulator, and — for full-fidelity traces — cycle-accurate replay
-through either network core (:func:`replay_through_network`).
+Offline, a trace supports exact BT recomputation (validated against
+:func:`repro.noc.recorder.score_hops`), re-applying the paper's
+transmission ordering at flit granularity
+(:meth:`TrafficTrace.reordered`), re-encoding with the related-work
+link codings (bus invert / delta) without re-running the simulator,
+and — for replayable traces — cycle-accurate replay through either
+network core (:func:`replay_through_network`).
 
 Storage
 -------
@@ -79,7 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "TRACE_FORMAT_VERSION",
     "REPLAY_ORDERINGS",
-    "TraceCollector",
     "PacketEvent",
     "TrafficTrace",
     "replay_through_network",
@@ -100,48 +98,6 @@ _GZIP_MAGIC = b"\x1f\x8b"
 #: "popcount_desc" is the paper's descending '1'-count transmission
 #: ordering applied at flit granularity within each packet.
 REPLAY_ORDERINGS = ("none", "popcount_desc")
-
-
-class TraceCollector:
-    """Accumulates per-link wire images during a simulation.
-
-    The lightweight hook: records what each link saw and when, which is
-    all the offline re-scoring paths need.  For replayable captures use
-    :class:`repro.noc.recorder.TraceRecorder` instead.
-    """
-
-    def __init__(self) -> None:
-        self._links: dict[str, list[int]] = {}
-        self._cycles: dict[str, list[int]] = {}
-
-    def record(
-        self,
-        link_name: str,
-        bits: int,
-        cycle: int,
-        vc: int = 0,
-        flit: Any = None,
-    ) -> None:
-        """Network hook: one flit crossed ``link_name``.
-
-        ``vc`` and ``flit`` are part of the network's hook protocol but
-        deliberately ignored here; :class:`TraceRecorder` keeps them.
-        """
-        self._links.setdefault(link_name, []).append(bits)
-        self._cycles.setdefault(link_name, []).append(cycle)
-
-    def finish(self, link_width: int) -> "TrafficTrace":
-        """Freeze the collected data into a trace.
-
-        The raw per-link lists go straight into the trace, whose
-        ``__post_init__`` packs each into its numpy column in one
-        pass — no intermediate tuples.
-        """
-        return TrafficTrace(
-            link_width=link_width,
-            links=dict(self._links),
-            cycles=dict(self._cycles),
-        )
 
 
 @dataclass(frozen=True)
@@ -168,13 +124,15 @@ class TrafficTrace:
         link_width: wire width in bits.
         links: link name -> wire images in traversal order.
         cycles: link name -> traversal cycles (same lengths).
-        vcs: link name -> output VC per traversal (full captures only).
-        packet_ids: link name -> owning packet per traversal (full
-            captures only; -1 marks an unknown owner).
-        packets: packet injection schedule in send order (full
-            captures only) — what :func:`replay_through_network`
-            re-injects.
+        vcs: link name -> output VC per traversal.
+        packet_ids: link name -> owning packet per traversal (-1 marks
+            an unknown owner).
+        packets: packet injection schedule in send order — what
+            :func:`replay_through_network` re-injects.
         noc: the recorded NoC config dict, if captured.
+
+    Captures (:meth:`from_network`) fill every field; hand-built or
+    derived traces may leave the optional ones empty.
 
     Construction normalises every per-link column into a
     :class:`~repro.bits.wordarray.WordArray` (uint64 for wire images,
@@ -216,8 +174,49 @@ class TrafficTrace:
                 },
             )
 
+    @classmethod
+    def from_network(cls, network: "Network") -> "TrafficTrace":
+        """The trace of a drained network, read from its hop log.
+
+        Router-outport links only (NI injection links are not traced),
+        each hop's wire image, cycle, output VC and packet id, the
+        packet schedule, and the network's NoC config.  The per-link
+        lists go straight into ``__post_init__``, which packs each
+        into its numpy column in one pass.
+        """
+        log = network.hops
+        wire = log.wire_image
+        links: dict[str, list[int]] = {}
+        cycles: dict[str, list[int]] = {}
+        vcs: dict[str, list[int]] = {}
+        packet_ids: dict[str, list[int]] = {}
+        for name, hops in log.links.items():
+            if name.startswith("NI"):
+                continue
+            links[name] = [wire(flit) for flit in hops.flits]
+            cycles[name] = hops.cycles
+            vcs[name] = hops.vcs
+            packet_ids[name] = [flit.packet_id for flit in hops.flits]
+        return cls(
+            link_width=network.config.link_width,
+            links=links,
+            cycles=cycles,
+            vcs=vcs,
+            packet_ids=packet_ids,
+            packets=tuple(
+                PacketEvent(
+                    cycle=cycle,
+                    src=packet.src,
+                    dst=packet.dst,
+                    payloads=tuple(flit.payload for flit in packet.flits),
+                )
+                for cycle, packet in log.sends
+            ),
+            noc=network.config.to_dict(),
+        )
+
     def total_transitions(self) -> int:
-        """Exact BT recomputation (matches the live Fig. 8 recorders)."""
+        """Exact BT recomputation (matches the hop-log scorer)."""
         return sum(
             _stream_bts(payloads, self.link_width)
             for payloads in self.links.values()
@@ -253,9 +252,8 @@ class TrafficTrace:
         :func:`replay_through_network` with ``ordering=`` to re-run
         reordered traffic through a network instead).
 
-        Requires per-hop packet ids (a :class:`TraceRecorder` capture);
-        the lightweight collector's traces cannot be reordered because
-        packet boundaries are unknown.
+        Requires per-hop packet ids (every captured trace has them);
+        without them packet boundaries are unknown.
         """
         if ordering == "none":
             return self
@@ -268,8 +266,8 @@ class TrafficTrace:
         if missing:
             raise ValueError(
                 "trace carries no per-hop packet ids for links "
-                f"{sorted(missing)}; record with TraceRecorder to "
-                "re-apply orderings"
+                f"{sorted(missing)}; capture with "
+                "TrafficTrace.from_network to re-apply orderings"
             )
         new_links: dict[str, WordArray] = {}
         for name, payloads in self.links.items():
@@ -606,20 +604,19 @@ def replay_through_network(
     ordering: str = "none",
     overrides: dict[str, Any] | None = None,
     max_cycles: int = 500_000,
-    trace_collector: Any = None,
 ) -> "Network":
     """Re-inject a recorded trace's traffic through a fresh network.
 
     The recorded packet schedule (cycle, src, dst, payloads) is
     replayed injection-for-injection on a mesh rebuilt from the
     trace's recorded NoC config, so — absent overrides — the replayed
-    run reproduces the original link traffic exactly and the live BT
-    ledger matches the recorded wire images.  This is the durable
+    run reproduces the original link traffic exactly and its hop log
+    scores to the recorded wire images' BTs.  This is the durable
     oracle the cross-core conformance suite replays through both
     cycle-loop cores.
 
     Args:
-        trace: a full-fidelity (TraceRecorder) capture.
+        trace: a captured (replayable) trace.
         core: cycle-loop core for the replay network; None uses the
             trace's recorded core setting, else "event".
         ordering: "none" replays the traffic verbatim;
@@ -629,14 +626,11 @@ def replay_through_network(
         overrides: NoC config fields to override at replay time
             (e.g. ``{"link_latency": 2}`` for timing what-ifs).
         max_cycles: drain budget.
-        trace_collector: optional collector / recorder attached to the
-            replay network before driving, so the replayed traffic can
-            itself be re-captured (the edge-safe replay probe in
-            :func:`repro.obs.diff.bisect_divergence` scores a
-            re-capture instead of the drained ledger).
 
     Returns:
-        The drained :class:`Network` (stats + ledger readable).
+        The drained :class:`Network`: stats, and the hop log that
+        :meth:`TrafficTrace.from_network` re-captures (the edge-safe
+        replay probe in :func:`repro.obs.diff.bisect_divergence`).
     """
     from repro.noc.flit import make_packet
     from repro.noc.network import Network, NoCConfig
@@ -644,8 +638,8 @@ def replay_through_network(
 
     if not trace.packets:
         raise ValueError(
-            "trace has no packet injection events; record with "
-            "repro.noc.recorder.TraceRecorder to enable replay"
+            "trace has no packet injection events; capture with "
+            "TrafficTrace.from_network to enable replay"
         )
     if trace.noc is None:
         raise ValueError(
@@ -661,7 +655,6 @@ def replay_through_network(
         noc_kwargs.update(overrides)
     noc = NoCConfig.from_dict(noc_kwargs)
     network = Network(noc, core=core)
-    network.trace_collector = trace_collector
     events = []
     # The replay numbers its packets from 0 in recorded send order.
     for packet_id, event in enumerate(trace.packets):
@@ -702,11 +695,11 @@ def trace_slice(
     mix live replay with offline slice scoring must re-capture and
     slice the replayed traffic (see
     :func:`repro.obs.diff.bisect_divergence`'s edge-safe replay
-    probe) rather than compare a drained ledger against a slice.
+    probe) rather than score a drained network against a slice.
 
-    Requires per-hop cycles for every link with traffic (any
-    :class:`TraceCollector` / :class:`TraceRecorder` capture has
-    them; hand-built traces without timing cannot be sliced).
+    Requires per-hop cycles for every link with traffic (every
+    captured trace has them; hand-built traces without timing cannot
+    be sliced).
     """
     if start < 0 or stop < start:
         raise ValueError(
@@ -763,7 +756,6 @@ def replay_window(
     ordering: str = "none",
     overrides: dict[str, Any] | None = None,
     max_cycles: int = 500_000,
-    trace_collector: Any = None,
 ) -> "Network":
     """Replay only the packets injected in cycles ``[start, stop)``.
 
@@ -781,15 +773,15 @@ def replay_window(
         )
     if not trace.packets:
         raise ValueError(
-            "trace has no packet injection events; record with "
-            "repro.noc.recorder.TraceRecorder to enable replay"
+            "trace has no packet injection events; capture with "
+            "TrafficTrace.from_network to enable replay"
         )
     window_packets = tuple(
         ev for ev in trace.packets if start <= ev.cycle < stop
     )
     if not window_packets:
         # An idle window: rebuild the empty mesh so callers still get
-        # a Network with a zeroed ledger rather than a special case.
+        # a Network with an empty hop log rather than a special case.
         from repro.noc.network import Network, NoCConfig
 
         if trace.noc is None:
@@ -799,16 +791,13 @@ def replay_window(
         noc_kwargs = dict(trace.noc)
         if overrides:
             noc_kwargs.update(overrides)
-        network = Network(NoCConfig.from_dict(noc_kwargs), core=core)
-        network.trace_collector = trace_collector
-        return network
+        return Network(NoCConfig.from_dict(noc_kwargs), core=core)
     return replay_through_network(
         dataclasses.replace(trace, packets=window_packets),
         core=core,
         ordering=ordering,
         overrides=overrides,
         max_cycles=max_cycles,
-        trace_collector=trace_collector,
     )
 
 

@@ -1,7 +1,7 @@
 """Differential test: scoring codings on a shared schedule vs full runs.
 
 :func:`run_codings` simulates a timing signature once and scores every
-other coding on the captured per-link flit sequences.  Every result
+other coding on the logged per-link flit sequences.  Every result
 must equal a fresh standalone :meth:`AcceleratorSimulator.run` of its
 config, ``to_dict()`` for ``to_dict()`` (per-link and per-layer BTs,
 verified MAC counts, metrics, ordering latency), and configs whose
@@ -57,13 +57,13 @@ def configs(codings, **base) -> list[AcceleratorConfig]:
 def simulations(monkeypatch) -> list[AcceleratorConfig]:
     """Configs of every full simulation run while the test runs."""
     ran: list[AcceleratorConfig] = []
-    original = AcceleratorSimulator.run
+    original = AcceleratorSimulator.simulate
 
-    def run(self, *args, **kwargs):
+    def simulate(self, *args, **kwargs):
         ran.append(self.config)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(AcceleratorSimulator, "run", run)
+    monkeypatch.setattr(AcceleratorSimulator, "simulate", simulate)
     return ran
 
 

@@ -166,6 +166,36 @@ class TestTriage:
         # Kind-declared extensions widen the transient set.
         assert classify_error("OSError: EIO", ("OSError",)) == "transient"
 
+    def test_noc_flow_control_error_settles_after_one_attempt(
+        self, monkeypatch
+    ):
+        """A NoC invariant violation is a simulator bug, not a torn
+        service frame: it classifies permanent, so an inline campaign
+        job raising it is never retried."""
+        from repro.experiments.kinds import job_kind
+        from repro.noc.router import FlowControlError
+
+        message = "router 3 port EAST VC 0: credit underflow"
+        assert classify_error(f"FlowControlError: {message}") == (
+            "permanent"
+        )
+
+        def violate(*args, **kwargs):
+            raise FlowControlError(message)
+
+        kind = type(job_kind("model"))
+        monkeypatch.setattr(kind, "execute", violate)
+        monkeypatch.setattr(kind, "execute_group", violate)
+        result = CampaignRunner(
+            workers=1, max_retries=2, backoff_base=0.001
+        ).run(small_spec())
+        assert result.retries == 0
+        assert result.errors == len(result.records) == 4
+        for record in result.records:
+            assert record["error"] == f"FlowControlError: {message}"
+            assert record["error_class"] == "permanent"
+            assert record["attempts"] == 1
+
     def test_backoff_is_seeded_exponential_and_capped(self):
         d1 = backoff_seconds(0, "job", 1, base=0.1, cap=10.0)
         d2 = backoff_seconds(0, "job", 2, base=0.1, cap=10.0)

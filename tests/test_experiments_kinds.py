@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import multiprocessing
@@ -322,10 +324,9 @@ def recorded_trace_file(path) -> str:
     """Record a small replayable trace to ``path``; returns the path."""
     from repro.noc.flit import make_packet
     from repro.noc.network import Network
-    from repro.noc.recorder import TraceRecorder
+    from repro.workloads.traces import TrafficTrace
 
     net = Network(NoCConfig(width=3, height=3, link_width=32))
-    net.trace_collector = TraceRecorder()
     for src in range(5):
         net.send_packet(
             make_packet(
@@ -333,7 +334,7 @@ def recorded_trace_file(path) -> str:
             )
         )
     net.run_until_drained()
-    net.trace_collector.finish(net.config).save(path)
+    TrafficTrace.from_network(net).save(path)
     return str(path)
 
 
@@ -486,20 +487,22 @@ class TestReplayDivergenceDetection:
             kind="replay", base={"trace": trace}, axes={"core": ["both"]}
         ).expand()
 
-        class FakeLedger:
-            def __init__(self, links):
-                self._links = links
-
-            def per_link(self):
-                return dict(self._links)
+        from repro.noc.flit import make_packet
+        from repro.noc.recorder import HopLog
 
         class FakeNet:
-            def __init__(self, links):
-                self.ledger = FakeLedger(links)
+            def __init__(self, bts):
+                # Two flits on R0.EAST whose XOR has ``bts`` set bits.
+                self.hops = HopLog()
+                packet = make_packet(
+                    0, 1, [0, (1 << bts) - 1], 32, packet_id=0
+                )
+                link = self.hops.link("R0.EAST")
+                link.flits.extend(packet.flits)
+                link.cycles.extend([0, 1])
+                link.vcs.extend([0, 0])
 
-        fakes = iter(
-            [FakeNet({"R0.EAST": 10}), FakeNet({"R0.EAST": 11})]
-        )
+        fakes = iter([FakeNet(10), FakeNet(11)])
         monkeypatch.setattr(
             kinds, "replay_through_network",
             lambda *a, **k: next(fakes),
@@ -507,9 +510,7 @@ class TestReplayDivergenceDetection:
         with pytest.raises(RuntimeError, match="divergence"):
             job_kind("replay").execute(job)
         # Through the runner it becomes a clean error record.
-        fakes = iter(
-            [FakeNet({"R0.EAST": 10}), FakeNet({"R0.EAST": 11})]
-        )
+        fakes = iter([FakeNet(10), FakeNet(11)])
         record = execute_job(job.to_dict())
         assert record["status"] == "error"
         assert "divergence" in record["error"]
@@ -567,19 +568,18 @@ class TestReplayContentAddressing:
 
 class TestReplayInjectionLinkComparability:
     def test_record_injection_traces_report_transmit_totals(self, tmp_path):
-        """With record_injection=True, the live ledger counts NI->router
+        """With record_injection=True, the hop log covers NI->router
         links the trace never covers; headline replay numbers must stay
         on the trace's measurement surface so offline and network rows
         (and recorded_bit_transitions) agree on faithful replays."""
         from repro.noc.flit import make_packet
         from repro.noc.network import Network
-        from repro.noc.recorder import TraceRecorder
+        from repro.workloads.traces import TrafficTrace
 
         net = Network(
             NoCConfig(width=3, height=3, link_width=32,
                       record_injection=True)
         )
-        net.trace_collector = TraceRecorder()
         for src in range(5):
             net.send_packet(
                 make_packet(
@@ -588,7 +588,7 @@ class TestReplayInjectionLinkComparability:
             )
         net.run_until_drained()
         path = tmp_path / "inj.trace.gz"
-        net.trace_collector.finish(net.config).save(path)
+        TrafficTrace.from_network(net).save(path)
 
         results = {}
         for core in ("offline", "event"):
@@ -790,20 +790,41 @@ def one_job_per_kind() -> dict[str, JobSpec]:
     }
 
 
-def _send_record(conn, payload) -> None:
-    conn.send(json.dumps(execute_job(payload), sort_keys=True))
+def _send_result(conn, target, *args) -> None:
+    conn.send(target(*args))
     conn.close()
 
 
-def record_in_fresh_process(job: JobSpec) -> str:
-    """``job``'s record, serialised, from a fresh fork of this process."""
+def _record_json(payload) -> str:
+    return json.dumps(execute_job(payload), sort_keys=True)
+
+
+def captured_trace_digest(path: str) -> str:
+    """``trace_digest`` of the golden ``run-noc --trace`` capture,
+    saved to ``path``."""
+    from repro.cli import main
+    from repro.workloads.traces import trace_digest
+
+    argv = [
+        "run-noc", "--mesh", "3x3", "--mcs", "1", "--format", "fixed8",
+        "--ordering", "O0", "--tasks", "2", "--trace", path,
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return trace_digest(path)
+
+
+def in_fresh_process(target, *args):
+    """``target(*args)`` evaluated in a fresh fork of this process."""
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_send_record, args=(child_conn, job.to_dict()))
+    proc = ctx.Process(
+        target=_send_result, args=(child_conn, target, *args)
+    )
     proc.start()
     child_conn.close()
     try:
-        assert parent_conn.poll(60.0), "forked job sent no record"
+        assert parent_conn.poll(60.0), "forked process sent no result"
         return parent_conn.recv()
     finally:
         parent_conn.close()
@@ -830,16 +851,24 @@ class TestDeterminism:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs the fork start method",
     )
-    def test_records_are_independent_of_process_history(self):
+    def test_records_are_independent_of_process_history(self, tmp_path):
         """A persistent worker runs job after job of any kind in one
         process; each record must match that job run alone in a fresh
-        fork, whatever ran before it."""
+        fork, whatever ran before it.  So must a trace captured after
+        them all."""
         jobs = one_job_per_kind()
         alone = {
-            kind: record_in_fresh_process(job) for kind, job in jobs.items()
+            kind: in_fresh_process(_record_json, job.to_dict())
+            for kind, job in jobs.items()
         }
+        fresh_trace = in_fresh_process(
+            captured_trace_digest, str(tmp_path / "fresh.trace.gz")
+        )
         sequence = list(jobs.items())
         for kind, job in sequence + sequence[::-1]:
             record = json.dumps(execute_job(job.to_dict()), sort_keys=True)
             assert json.loads(record)["status"] == "ok", kind
             assert record == alone[kind], kind
+        assert captured_trace_digest(
+            str(tmp_path / "after.trace.gz")
+        ) == fresh_trace

@@ -25,6 +25,7 @@ import pytest
 
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.simulator import run_model_on_noc
+from repro.noc.recorder import score_hops
 from repro.analysis.distribution import analyze_stream
 from repro.bits.popcount import popcount_array
 from repro.experiments import (
@@ -224,7 +225,7 @@ def test_fig12_noc_sizes_golden(data_format, tmp_path):
 # -- golden trace fixture ---------------------------------------------
 #
 # A checked-in full-fidelity trace (3x3 MC1 fixed8 LeNet, O0, 2 tasks
-# per layer) recorded with repro.noc.recorder.TraceRecorder.  The
+# per layer) recorded with `repro run-noc ... --trace`.  The
 # replayed per-link BT table below is pinned Fig. 9-style: every link,
 # tolerance-free.  A failure means the trace format decoding or the
 # replay path changed the reproduced wire traffic — regenerate the
@@ -269,10 +270,27 @@ class TestGoldenTraceReplay:
         from repro.workloads.traces import replay_through_network
 
         replayed = replay_through_network(trace, core=core)
-        assert replayed.ledger.per_link() == GOLDEN_TRACE_PER_LINK
+        assert score_hops(replayed.hops).per_link == GOLDEN_TRACE_PER_LINK
         assert (
             replayed.stats.total_bit_transitions == GOLDEN_TRACE_TOTAL_BT
         )
+
+    def test_run_noc_rerecords_fixture(self, trace, tmp_path, capsys):
+        """The capture path reproduces the fixture field for field."""
+        from repro.cli import main
+        from repro.workloads.traces import TrafficTrace
+
+        path = tmp_path / "rerecorded.trace.gz"
+        assert main([
+            "run-noc", "--mesh", "3x3", "--mcs", "1", "--format",
+            "fixed8", "--ordering", "O0", "--tasks", "2",
+            "--trace", str(path),
+        ]) == 0
+        fresh = TrafficTrace.load(path)
+        for name in ("links", "cycles", "vcs", "packet_ids", "packets",
+                     "noc"):
+            assert getattr(fresh, name) == getattr(trace, name), name
+        assert fresh.per_link_transitions() == GOLDEN_TRACE_PER_LINK
 
     def test_reordered_replay_pinned(self, trace):
         from repro.workloads.traces import replay_through_network

@@ -25,6 +25,7 @@ from repro.accelerator.simulator import AcceleratorSimulator
 from repro.dnn.models import build_model
 from repro.noc.flit import make_packet
 from repro.noc.network import CORES, Network, NoCConfig
+from repro.noc.recorder import score_hops
 from repro.noc.traffic import (
     SyntheticTrafficConfig,
     TrafficPattern,
@@ -52,14 +53,7 @@ def assert_networks_equal(event: Network, stepped: Network) -> None:
     assert dataclasses.asdict(event.stats) == dataclasses.asdict(
         stepped.stats
     )
-    assert event.ledger.per_link() == stepped.ledger.per_link()
-    assert (
-        event.ledger.total_transitions == stepped.ledger.total_transitions
-    )
-    assert (
-        event.ledger.total_flit_traversals
-        == stepped.ledger.total_flit_traversals
-    )
+    assert score_hops(event.hops) == score_hops(stepped.hops)
     # The event core may only ever *skip* cycles, never add them.
     assert event.steps_executed <= event.stats.cycles
     assert stepped.steps_executed == stepped.stats.cycles
@@ -339,7 +333,7 @@ class TestReplayConformanceMatrix:
     """Cross-core differential conformance on *recorded* traffic.
 
     A trace captured from a live accelerator run is a durable oracle:
-    replaying it must produce bit-identical per-link BT ledgers on the
+    replaying it must produce bit-identical per-link BT tables on the
     event and the stepped core — across recording configurations
     (pipelined on/off, each scheduling policy) and replay-side link
     latencies.  At the recorded latency the replay must additionally
@@ -348,7 +342,7 @@ class TestReplayConformanceMatrix:
 
     @pytest.fixture(scope="class")
     def traces(self):
-        from repro.noc.recorder import TraceRecorder
+        from repro.workloads.traces import TrafficTrace
 
         model = build_model("lenet", rng=np.random.default_rng(9))
         image = (
@@ -369,9 +363,8 @@ class TestReplayConformanceMatrix:
                 **overrides,
             )
             sim = AcceleratorSimulator(config, model, image)
-            recorder = TraceRecorder()
-            result = sim.run(trace_collector=recorder)
-            trace = recorder.finish(config.noc_config())
+            result, network = sim.simulate()
+            trace = TrafficTrace.from_network(network)
             assert (
                 trace.total_transitions() == result.total_bit_transitions
             )
@@ -398,7 +391,7 @@ class TestReplayConformanceMatrix:
             network = replay_through_network(
                 trace, core=core, overrides=overrides
             )
-            ledgers[core] = network.ledger.per_link()
+            ledgers[core] = score_hops(network.hops).per_link
             stats[core] = dataclasses.asdict(network.stats)
         # The conformance pin: identical per-link BT dicts, not just
         # matching totals — a cross-core divergence on one link must
@@ -413,9 +406,8 @@ class TestReplayConformanceMatrix:
     def synthetic_trace(self):
         """The retired CI bench smoke's replay point: a bursty uniform
         run on an 8x8 mesh of 128-bit links."""
-        from repro.noc.recorder import TraceRecorder
+        from repro.workloads.traces import TrafficTrace
 
-        recorder = TraceRecorder()
         network = drive_synthetic(
             SyntheticTrafficConfig(
                 pattern=TrafficPattern.UNIFORM_RANDOM,
@@ -424,9 +416,8 @@ class TestReplayConformanceMatrix:
                 seed=13,
             ),
             NoCConfig(width=8, height=8, link_width=128),
-            trace_collector=recorder,
         )
-        return recorder.finish(network.config)
+        return TrafficTrace.from_network(network)
 
     @pytest.mark.parametrize("ordering", ["none", "popcount_desc"])
     def test_synthetic_trace_replays_identically(
@@ -443,6 +434,6 @@ class TestReplayConformanceMatrix:
         assert_networks_equal(networks["event"], networks["stepped"])
         if ordering == "none":
             assert (
-                networks["event"].ledger.per_link()
+                score_hops(networks["event"].hops).per_link
                 == synthetic_trace.per_link_transitions()
             )

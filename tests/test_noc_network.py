@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from repro.bits.popcount import popcount
 from repro.noc.flit import make_packet
 from repro.noc.network import Network, NoCConfig, SimulationTimeout
-from repro.noc.router import ProtocolError
+from repro.noc.recorder import score_hops
+from repro.noc.router import FlowControlError
 from repro.noc.routing import Port
 from repro.noc.topology import mesh_neighbors
 
@@ -271,22 +272,22 @@ class TestBTAccounting:
             > without.stats.total_bit_transitions
         )
 
-    def test_ledger_matches_stats(self):
+    def test_scored_log_matches_stats(self):
         net = small_net()
         for src in range(4):
             net.send_packet(
                 make_packet(src, 15, [src * 7, src], 64, packet_id=next(_IDS))
             )
         net.run_until_drained()
-        assert (
-            net.ledger.total_transitions == net.stats.total_bit_transitions
-        )
+        score = score_hops(net.hops)
+        assert score.total == net.stats.total_bit_transitions
+        assert sum(score.flits.values()) == net.stats.flit_hops
 
     def test_per_link_names(self):
         net = small_net(record_ejection=True)
         net.send_packet(make_packet(0, 1, [1], 64, packet_id=next(_IDS)))
         net.run_until_drained()
-        names = set(net.ledger.per_link())
+        names = set(score_hops(net.hops).per_link)
         assert "R0.EAST" in names
         assert "R1.LOCAL" in names
 
@@ -295,7 +296,7 @@ class TestFlowControl:
     def test_buffers_never_overflow_under_burst(self):
         # Many long packets to one destination force backpressure; the
         # credit protocol must keep every buffer within capacity (the
-        # router raises ProtocolError otherwise).
+        # router raises FlowControlError otherwise).
         net = small_net()
         for src in range(8):
             net.send_packet(
@@ -323,7 +324,9 @@ class TestFlowControl:
         )
         router.allocate()
         router.switch_traversal(net)
-        with pytest.raises(ProtocolError, match="credit overflow at router 0"):
+        with pytest.raises(
+            FlowControlError, match="credit overflow at router 0"
+        ):
             net.step()
 
     def test_single_vc_still_works(self):
@@ -379,7 +382,7 @@ class TestInjectionRecording:
             make_packet(0, 1, [0xFF, 0x00], 64, packet_id=next(_IDS))
         )
         net.run_until_drained()
-        assert "NI0.INJECT" in net.ledger.per_link()
+        assert "NI0.INJECT" in score_hops(net.hops).per_link
 
 
 class TestLinkLatency:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.noc.flit import Flit, FlitType, make_packet
 from repro.noc.network import Network, NoCConfig
-from repro.noc.router import ProtocolError, Router, VCState
+from repro.noc.router import FlowControlError, Router, VCState
 from repro.noc.routing import Port, xy_route
 
 
@@ -47,7 +47,7 @@ class TestAcceptFlit:
         router = bare_router()
         router.accept_flit(Port.LOCAL, 0, make_flit())
         router.accept_flit(Port.LOCAL, 0, make_flit())
-        with pytest.raises(ProtocolError):
+        with pytest.raises(FlowControlError):
             router.accept_flit(Port.LOCAL, 0, make_flit())
 
 
@@ -63,7 +63,7 @@ class TestAllocation:
         router = bare_router()
         orphan = make_flit(ftype=FlitType.BODY)
         router.accept_flit(Port.LOCAL, 0, orphan)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(FlowControlError):
             router.allocate()
 
     def test_vc_allocated_from_free_pool(self):

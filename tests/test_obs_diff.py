@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.network import NoCConfig
+from repro.noc.recorder import score_hops
 from repro.obs.diff import bisect_divergence, trace_diff
 from repro.workloads.traces import (
     PacketEvent,
@@ -143,7 +144,10 @@ class TestDiffProperties:
         span = max(e.cycle for e in trace.packets) + 1
         whole = replay_through_network(trace)
         windowed = replay_window(trace, 0, span)
-        assert windowed.ledger.per_link() == whole.ledger.per_link()
+        assert (
+            score_hops(windowed.hops).per_link
+            == score_hops(whole.hops).per_link
+        )
         assert (
             windowed.stats.total_bit_transitions
             == whole.stats.total_bit_transitions
@@ -201,9 +205,9 @@ class TestTraceSlice:
 
 
 class TestReplayWindow:
-    def test_empty_window_returns_zeroed_ledger(self, golden):
+    def test_empty_window_returns_empty_hop_log(self, golden):
         net = replay_window(golden, 0, 0)
-        assert net.ledger.per_link() == {}
+        assert score_hops(net.hops).per_link == {}
         assert net.stats.total_bit_transitions == 0
 
     def test_full_range_matches_pinned_total(self, golden):
@@ -280,7 +284,7 @@ class TestSyntheticBisect:
 
     def test_replay_probe_localises_a_mutated_packet(self, golden):
         """Perturb the last injected packet's payloads; the replay
-        probe (re-inject + live ledgers) localises where its traffic
+        probe (re-inject + re-capture) localises where its traffic
         lands."""
         packets = list(golden.packets)
         last = max(
@@ -327,8 +331,8 @@ class TestReplayProbeEdgeSafety:
     their own cycles, so a prefix window cuts in-flight packets: a
     packet injected before ``stop`` keeps its injection event but
     loses every hop at or past ``stop``.  Replaying such a window
-    drains those packets fully, which means scoring the drained ledger
-    directly would charge hops the offline slice excludes.  The replay
+    drains those packets fully, which means scoring the drained hop
+    log directly would charge hops the offline slice excludes.  The replay
     probe is therefore required to re-capture the replayed traffic and
     score it through the same hop-cycle slice — these tests pin that
     both probe modes agree exactly at every window edge.
@@ -338,16 +342,16 @@ class TestReplayProbeEdgeSafety:
     def test_replay_prefix_matches_offline_prefix(self, golden, stop):
         # Every stop here cuts at least one packet's flight mid-route
         # (the golden run keeps traffic in flight through cycle ~290),
-        # which is exactly where a drained-ledger probe diverges.
+        # which is exactly where a drained-log probe diverges.
         from repro.obs.diff import _offline_prefix, _replay_prefix
 
         assert _replay_prefix(golden, stop, None, 500_000) == (
             _offline_prefix(golden, stop)
         )
 
-    def test_drained_ledger_overcounts_at_a_cutting_stop(self, golden):
+    def test_drained_log_overcounts_at_a_cutting_stop(self, golden):
         # Counter-pin: the re-capture + re-slice in the replay probe is
-        # load-bearing.  The raw drained ledger of the same window
+        # load-bearing.  The raw drained hop log of the same window
         # carries strictly more BTs than the offline prefix on the
         # links whose packets were cut mid-flight.
         from repro.obs.diff import _offline_prefix
@@ -355,9 +359,9 @@ class TestReplayProbeEdgeSafety:
         stop = 128
         drained = {
             name: bts
-            for name, bts in replay_window(
-                golden, 0, stop
-            ).ledger.per_link().items()
+            for name, bts in score_hops(
+                replay_window(golden, 0, stop).hops
+            ).per_link.items()
             if bts
         }
         offline = _offline_prefix(golden, stop)
@@ -370,8 +374,6 @@ class TestReplayProbeEdgeSafety:
         # End-to-end agreement: perturb one packet, replay + re-capture
         # so hops and injections stay consistent, then require both
         # probe modes to localise the same first window and links.
-        from repro.noc.recorder import TraceRecorder
-
         packets = list(golden.packets)
         last = max(range(len(packets)), key=lambda i: packets[i].cycle)
         event = packets[last]
@@ -379,11 +381,9 @@ class TestReplayProbeEdgeSafety:
             event, payloads=tuple(p ^ 0b11 for p in event.payloads)
         )
         schedule = dataclasses.replace(golden, packets=tuple(packets))
-        recorder = TraceRecorder()
-        net = replay_through_network(
-            schedule, trace_collector=recorder
+        recaptured = TrafficTrace.from_network(
+            replay_through_network(schedule)
         )
-        recaptured = recorder.finish(net.config)
 
         offline = bisect_divergence(golden, recaptured, probe="offline")
         replay = bisect_divergence(golden, recaptured, probe="replay")

@@ -8,6 +8,7 @@ must fail with a clean :class:`ValueError`.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import gzip
@@ -22,12 +23,11 @@ from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.simulator import AcceleratorSimulator
 from repro.noc.flit import make_packet
 from repro.noc.network import CORES, Network, NoCConfig
-from repro.noc.recorder import TraceRecorder
+from repro.noc.recorder import score_hops
 from repro.ordering.strategies import OrderingMethod
 from repro.workloads.traces import (
     TRACE_FORMAT_VERSION,
     PacketEvent,
-    TraceCollector,
     TrafficTrace,
     reencode_per_link,
     reencode_transitions,
@@ -41,7 +41,6 @@ _IDS = itertools.count()
 
 def traced_network() -> tuple[Network, TrafficTrace]:
     net = Network(NoCConfig(width=4, height=4, link_width=64))
-    net.trace_collector = TraceCollector()
     for src in range(6):
         net.send_packet(
             make_packet(
@@ -49,7 +48,7 @@ def traced_network() -> tuple[Network, TrafficTrace]:
             )
         )
     net.run_until_drained()
-    return net, net.trace_collector.finish(64)
+    return net, TrafficTrace.from_network(net)
 
 
 class TestStreamScoring:
@@ -79,14 +78,14 @@ class TestStreamScoring:
 
 
 class TestCapture:
-    def test_trace_matches_live_recorders(self):
+    def test_trace_matches_network_stats(self):
         net, trace = traced_network()
         assert trace.total_transitions() == net.stats.total_bit_transitions
         assert trace.total_flit_traversals() == net.stats.flit_hops
 
-    def test_per_link_matches_ledger(self):
+    def test_per_link_matches_scorer(self):
         net, trace = traced_network()
-        assert trace.per_link_transitions() == net.ledger.per_link()
+        assert trace.per_link_transitions() == score_hops(net.hops).per_link
 
     def test_cycles_recorded_monotone(self):
         _, trace = traced_network()
@@ -184,9 +183,8 @@ class TestPersistence:
 
 
 def recorded_network() -> tuple[Network, TrafficTrace]:
-    """A drained network captured with the full-fidelity recorder."""
+    """A drained network and its three-flit-packet trace."""
     net = Network(NoCConfig(width=4, height=4, link_width=64))
-    net.trace_collector = TraceRecorder()
     for src in range(6):
         net.send_packet(
             make_packet(
@@ -195,14 +193,14 @@ def recorded_network() -> tuple[Network, TrafficTrace]:
             )
         )
     net.run_until_drained()
-    return net, net.trace_collector.finish(net.config)
+    return net, TrafficTrace.from_network(net)
 
 
-class TestTraceRecorder:
-    def test_capture_matches_live_recorders(self):
+class TestFromNetwork:
+    def test_capture_matches_scorer(self):
         net, trace = recorded_network()
         assert trace.total_transitions() == net.stats.total_bit_transitions
-        assert trace.per_link_transitions() == net.ledger.per_link()
+        assert trace.per_link_transitions() == score_hops(net.hops).per_link
 
     def test_parallel_streams_aligned(self):
         _, trace = recorded_network()
@@ -221,13 +219,16 @@ class TestTraceRecorder:
         assert all(len(p.payloads) == 3 for p in trace.packets)
         assert trace.noc == net.config.to_dict()
 
-    def test_plain_width_finish(self):
-        """finish() accepts a bare link width for config-less captures."""
-        recorder = TraceRecorder()
-        recorder.record("R0.EAST", 5, 0, 1)
-        trace = recorder.finish(64)
-        assert trace.link_width == 64
-        assert trace.noc is None and not trace.is_replayable
+    def test_injection_links_not_traced(self):
+        net = Network(
+            NoCConfig(width=3, height=3, link_width=64,
+                      record_injection=True)
+        )
+        net.send_packet(make_packet(0, 8, [3, 12], 64, packet_id=next(_IDS)))
+        net.run_until_drained()
+        assert "NI0.INJECT" in net.hops.links
+        trace = TrafficTrace.from_network(net)
+        assert all(name.startswith("R") for name in trace.links)
 
 
 # -- property-based persistence round trips ---------------------------
@@ -352,13 +353,12 @@ class TestRoundTripProperties:
             NoCConfig(width=3, height=3, link_width=32,
                       include_header_bits=True)
         )
-        net.trace_collector = TraceRecorder()
         for src in range(4):
             net.send_packet(
                 make_packet(src, 8, [src * 99, src], 32, packet_id=next(_IDS))
             )
         net.run_until_drained()
-        trace = net.trace_collector.finish(net.config)
+        trace = TrafficTrace.from_network(net)
         assert any(
             p.bit_length() > 32
             for payloads in trace.links.values()
@@ -416,7 +416,8 @@ class TestReordered:
         assert not out.is_replayable
 
     def test_requires_packet_ids(self):
-        _, trace = traced_network()  # lightweight collector: no ids
+        _, trace = traced_network()
+        trace = dataclasses.replace(trace, packet_ids={})
         with pytest.raises(ValueError, match="packet ids"):
             trace.reordered("popcount_desc")
 
@@ -430,11 +431,12 @@ class TestReordered:
 
 
 class TestReplayThroughNetwork:
-    def test_replay_reproduces_recorded_ledger(self):
+    def test_replay_reproduces_recorded_per_link(self):
         net, trace = recorded_network()
+        per_link = score_hops(net.hops).per_link
         for core in CORES:
             replayed = replay_through_network(trace, core=core)
-            assert replayed.ledger.per_link() == net.ledger.per_link()
+            assert score_hops(replayed.hops).per_link == per_link
             assert (
                 replayed.stats.total_bit_transitions
                 == net.stats.total_bit_transitions
@@ -449,14 +451,16 @@ class TestReplayThroughNetwork:
     def test_core_argument_overrides_recorded_core(self):
         net = Network(NoCConfig(width=3, height=3, link_width=64,
                                 core="stepped"))
-        net.trace_collector = TraceRecorder()
         net.send_packet(make_packet(0, 8, [3, 12], 64, packet_id=next(_IDS)))
         net.run_until_drained()
-        trace = net.trace_collector.finish(net.config)
+        trace = TrafficTrace.from_network(net)
         assert replay_through_network(trace).core == "stepped"
         replayed = replay_through_network(trace, core="event")
         assert replayed.core == "event"
-        assert replayed.ledger.per_link() == net.ledger.per_link()
+        assert (
+            score_hops(replayed.hops).per_link
+            == score_hops(net.hops).per_link
+        )
 
     def test_unknown_replay_core_rejected(self):
         _, trace = recorded_network()
@@ -477,17 +481,20 @@ class TestReplayThroughNetwork:
             == replay_through_network(trace).stats.flit_hops
         )
 
-    def test_lightweight_trace_not_replayable(self):
+    def test_trace_without_schedule_not_replayable(self):
         _, trace = traced_network()
         with pytest.raises(ValueError, match="no packet injection"):
-            replay_through_network(trace)
+            replay_through_network(dataclasses.replace(trace, packets=()))
 
     def test_round_tripped_trace_replays_identically(self, tmp_path):
         net, trace = recorded_network()
         path = tmp_path / "rt.trace.gz"
         trace.save(path)
         replayed = replay_through_network(TrafficTrace.load(path))
-        assert replayed.ledger.per_link() == net.ledger.per_link()
+        assert (
+            score_hops(replayed.hops).per_link
+            == score_hops(net.hops).per_link
+        )
 
 
 class TestReencodePerLink:
@@ -526,10 +533,10 @@ class TestAcceleratorIntegration:
     def test_trace_through_accelerator(self, small_lenet, digit_image):
         config = AcceleratorConfig(max_tasks_per_layer=3, seed=4)
         sim = AcceleratorSimulator(config, small_lenet, digit_image)
-        collector = TraceCollector()
-        result = sim.run(trace_collector=collector)
-        trace = collector.finish(config.link_width)
+        result, network = sim.simulate()
+        trace = TrafficTrace.from_network(network)
         assert trace.total_transitions() == result.total_bit_transitions
+        assert trace.per_link_transitions() == result.per_link
         assert result.all_verified
 
 
