@@ -308,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", parents=[seeded, grid, campaign],
         help="own a campaign as a job server: `repro work` processes "
-             "claim jobs under time-bounded leases and stream results "
-             "back; SIGINT/SIGTERM drains and checkpoints for --resume",
+             "claim execution units under time-bounded leases and "
+             "stream results back; SIGINT/SIGTERM drains and "
+             "checkpoints for --resume",
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="interface to bind (default loopback)")
@@ -317,16 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="port to bind (default 0 = ephemeral; the "
                             "bound port is printed)")
     serve.add_argument("--lease", type=float, default=30.0,
-                       help="lease seconds per claimed job: a worker "
-                            "silent past this returns the job to the "
-                            "queue (default 30)")
+                       help="lease seconds per claimed unit, renewed "
+                            "by each heartbeat: a worker silent past "
+                            "this returns each of the unit's jobs to "
+                            "the queue alone (default 30)")
     serve.add_argument("--heartbeat", type=float, default=None,
                        help="heartbeat interval advertised to workers "
                             "(default lease/3)")
 
     work = sub.add_parser(
         "work",
-        help="attach a worker to a running `repro serve`: claim jobs, "
+        help="attach a worker to a running `repro serve`: claim units, "
              "heartbeat the lease, stream results back until the "
              "server drains (exit 0) or is lost (exit 3)",
     )

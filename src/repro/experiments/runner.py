@@ -47,9 +47,9 @@ engines only move units and choose when a retry runs:
   attempt instead cost more than the jobs on a simulation-scale grid;
   reuse is safe because a record depends only on its job, never on
   what the process ran before;
-* :class:`~repro.service.server.SweepServer` leases single jobs to
-  socket workers, turns a lapsed lease into a ``LeaseExpired`` record,
-  and re-queues a retry at the back of its queue.
+* :class:`~repro.service.server.SweepServer` leases units to socket
+  workers, turns a lapsed lease into a ``LeaseExpired`` record per
+  job of the unit, and re-queues a retry at the back of its queue.
 
 Execution dispatches through the job-kind registry
 (:mod:`repro.experiments.kinds`), so every kind shares the engines.
@@ -411,8 +411,8 @@ class _Ledger:
     """One campaign's bookkeeping, shared by every engine.
 
     An engine calls :meth:`open` once, :meth:`settle` once per job of
-    each finished attempt, and :meth:`finish` once (the local engines
-    also ask :meth:`units` how to group the jobs to run); it never
+    each finished attempt, and :meth:`finish` once (and asks
+    :meth:`units` how to group the jobs to run); it never
     touches the cache, journal, or store itself.  Not thread-safe: the
     sweep server calls it under its own lock.
 

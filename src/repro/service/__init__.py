@@ -4,24 +4,26 @@ Turns the campaign engine into a long-running, shareable system: one
 :class:`SweepServer` process owns a :class:`~repro.experiments.spec.
 SweepSpec`-derived job queue plus the crash-safe campaign journal, and
 any number of :class:`SweepWorker` processes — same host or remote —
-claim jobs over a small length-prefixed socket protocol
-(:mod:`repro.service.protocol`), execute them through the ordinary
-job-kind registry, and stream results back.
+claim execution units over a small length-prefixed socket protocol
+(:mod:`repro.service.protocol`), run each through
+:func:`~repro.experiments.runner.execute_unit` — one simulation for
+jobs that share a timing signature — and stream the records back.
 
 Robustness model
 ----------------
 
-* **Time-bounded leases** (:mod:`repro.service.leases`) — a claimed
-  job must be heartbeated before its lease deadline; a worker that
-  dies, hangs, or drops off the network loses the lease and the job
-  returns to the queue for another worker ("work stealing").
+* **Time-bounded leases** (:mod:`repro.service.leases`) — one lease
+  covers a claimed unit and must be heartbeated before its deadline;
+  a worker that dies, hangs, or drops off the network loses the lease
+  and each unsettled job of the unit returns to the queue alone for
+  another worker ("work stealing").
 * **At-least-once, effectively-once** — re-executed jobs are
   deterministic, the content-addressed
   :class:`~repro.experiments.cache.ResultCache` dedups across
   processes (with a cross-process atomic claim under a shared cache
   root), and the server reconciles late results from presumed-dead
-  workers idempotently: the first completion wins, duplicates are
-  acknowledged and discarded.
+  workers idempotently, job by job: the first completion wins,
+  duplicates are acknowledged and discarded.
 * **Crash-safe progress** — every completed job is journaled the
   moment it lands, so a killed server resumes with ``repro serve
   --resume <campaign-id>`` exactly like ``repro sweep --resume``;

@@ -1,25 +1,28 @@
 """The sweep job server: lease-based queue over a campaign journal.
 
 A :class:`SweepServer` serves one campaign to workers that connect
-over the :mod:`repro.service.protocol` socket and pull jobs under
-time-bounded leases.  It executes nothing itself, and it keeps no
-campaign books of its own: the runner's ledger
+over the :mod:`repro.service.protocol` socket and pull execution
+units under time-bounded leases.  It executes nothing itself, and it
+keeps no campaign books of its own: the runner's ledger
 (:mod:`repro.experiments.runner`) triages the cache and journal,
-settles every result with the same retry/quarantine policy as the
-in-process engines, and assembles the final
-:class:`~repro.experiments.runner.CampaignResult`.  What is left here
-is transport:
+splits the jobs to run into units, settles every result with the same
+retry/quarantine policy as the in-process engines, and assembles the
+final :class:`~repro.experiments.runner.CampaignResult`.  What is left
+here is transport:
 
-* grant jobs (cache hits and journal-resumed jobs are never queued),
+* grant units — jobs that share a timing signature, which the worker
+  runs as one simulation (cache hits and journal-resumed jobs are
+  never queued); one lease covers the whole unit,
 * renew leases on heartbeats,
-* turn a lapsed lease (dead or stalled worker) into a
-  ``lease_expired`` failure for the runner's settle, which re-queues
-  the job at the back — "work stealing" from the claimant's
-  perspective — or quarantines it once its retries are spent,
-* reconcile results idempotently: the first completion of a job wins;
-  late results from presumed-dead workers are acknowledged as
-  duplicates and discarded, which is safe because job execution is
-  deterministic,
+* turn a lapsed lease (dead or stalled worker) into one
+  ``lease_expired`` failure per unsettled job of the unit for the
+  runner's settle, which re-queues each job alone at the back — "work
+  stealing" from the claimant's perspective — or quarantines it once
+  its retries are spent,
+* reconcile results per job, idempotently: the first completion of a
+  job wins; jobs of a late unit result from a presumed-dead worker
+  are acknowledged as duplicates and discarded, which is safe because
+  job execution is deterministic,
 * on completion — or on a drain triggered by SIGINT/SIGTERM — finish
   the ledger, which writes the store in grid order and journals the
   ``end``/``checkpoint`` event, so ``--resume`` behaves identically to
@@ -30,11 +33,11 @@ records), and no timing, so they match an inline run of the same spec
 — the chaos determinism gate relies on it.
 
 Fault injection: the server consults its
-:class:`~repro.experiments.faults.FaultPlan` at grant time.  In-process
-actions ride the job payload into the worker as usual; *network*
-actions (connection drop, heartbeat stall, torn frame, duplicate
-result) are shipped alongside the grant for the worker to fire through
-the real socket path.
+:class:`~repro.experiments.faults.FaultPlan` at grant time.  Jobs the
+plan names are units of one.  In-process actions ride the job payload
+into the worker as usual; *network* actions (connection drop,
+heartbeat stall, torn frame, duplicate result) are shipped alongside
+the grant for the worker to fire through the real socket path.
 
 Threading model: an acceptor thread spawns one handler thread per
 connection; a sweeper thread expires leases; one lock guards all
@@ -44,6 +47,7 @@ campaign state.  All threads are daemonic — lifecycle is owned by
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
@@ -80,7 +84,9 @@ class SweepServer:
         result: the final :class:`CampaignResult` once finished.
 
     ``max_retries`` bounds the transient-failure re-queues per job
-    (lease expiries included) before quarantine.
+    (lease expiries included) before quarantine.  A unit's lease is
+    keyed by its first job's id, so ``service.jobs.stolen`` counts a
+    stolen unit once.
     """
 
     def __init__(
@@ -119,7 +125,9 @@ class SweepServer:
             job.job_id: index for index, job in enumerate(self._jobs)
         }
         self._lock = threading.RLock()
-        self._pending: deque[int] = deque()
+        self._pending: deque[list[int]] = deque()
+        # Lease key -> the grid indices of its unit with no result yet.
+        self._leased: dict[str, list[int]] = {}
         self._attempts: dict[str, int] = {}
         self._workers_seen: set[str] = set()
         self._reconnects = 0
@@ -141,7 +149,8 @@ class SweepServer:
         campaign than this spec derives — resuming would silently mix
         results otherwise.
         """
-        self._pending.extend(self._ledger.open(self.spec))
+        todo = self._ledger.open(self.spec)
+        self._pending.extend(self._ledger.units(todo, self.fault_plan))
 
         self._sock = socket.create_server((self.host, self.port))
         self.host, self.port = self._sock.getsockname()[:2]
@@ -166,8 +175,8 @@ class SweepServer:
         The journal already holds every completed job (they are
         appended as they land), so the checkpoint written here makes
         ``--resume`` behave exactly as after a SIGINT'd inline sweep.
-        In-flight leased jobs are counted as remaining — their late
-        results, if any, arrive after the store is written and are
+        Jobs of in-flight leased units are counted as remaining — their
+        late results, if any, arrive after the store is written and are
         simply discarded.
         """
         with self._lock:
@@ -265,20 +274,20 @@ class SweepServer:
             self._reap_expired()
 
     def _reap_expired(self) -> None:
-        for lease in self.leases.expire():
-            with self._lock:
-                index = self._index_by_job.get(lease.job_id)
-                if index is None or index in self._ledger.records:
-                    continue  # completed just before expiry
-                record = failure_record(
-                    self._payloads[index],
-                    lease.job_id,
-                    f"LeaseExpired: worker {lease.worker!r} stopped "
-                    f"heartbeating and its lease lapsed "
-                    f"(attempt {lease.attempt})",
-                    "lease_expired",
-                )
-                self._settle(index, record, lease.attempt)
+        # Under the lock, so no result or grant lands between a lease
+        # lapsing and its jobs' failures settling.
+        with self._lock:
+            for lease in self.leases.expire():
+                for index in self._leased.pop(lease.job_id):
+                    record = failure_record(
+                        self._payloads[index],
+                        self._jobs[index].job_id,
+                        f"LeaseExpired: worker {lease.worker!r} stopped "
+                        f"heartbeating and its lease lapsed "
+                        f"(attempt {lease.attempt})",
+                        "lease_expired",
+                    )
+                    self._settle(index, record, lease.attempt)
         self._maybe_finish()
 
     def _settle(
@@ -286,11 +295,11 @@ class SweepServer:
     ) -> None:
         """Land a result through the runner's policy; called under lock.
 
-        A retry goes to the back of the queue: clean jobs drain first,
-        the repeat offender re-runs when a worker frees up.
+        A retry goes alone to the back of the queue: clean units drain
+        first, the repeat offender re-runs when a worker frees up.
         """
         if self._ledger.settle(index, record, attempt) is None:
-            self._pending.append(index)
+            self._pending.append([index])
 
     # -- message dispatch ------------------------------------------------
 
@@ -303,14 +312,12 @@ class SweepServer:
         if kind == "hello":
             return self._on_hello(message, worker)
         if kind == "claim":
-            return self._on_claim(worker), False
+            return self._on_claim(worker, bool(message.get("report"))), False
         if kind == "heartbeat":
-            renewed = self.leases.renew(
-                str(message.get("job_id", "")), worker
-            )
+            renewed = self.leases.renew(str(message.get("unit", "")), worker)
             return {"type": "ack", "renewed": renewed}, False
         if kind == "result":
-            return self._on_result(message, worker), False
+            return self._on_result(message), False
         if kind == "status":
             return self._on_status(), False
         if kind == "goodbye":
@@ -354,7 +361,7 @@ class SweepServer:
             False,
         )
 
-    def _on_claim(self, worker: str) -> dict[str, Any]:
+    def _on_claim(self, worker: str, report: bool) -> dict[str, Any]:
         with self._lock:
             if self._finished or self._draining:
                 result = self.result
@@ -368,8 +375,9 @@ class SweepServer:
                 }
                 if result is not None:
                     reply["interrupted"] = result.interrupted
-                    reply["records"] = result.records
-                    reply["summary"] = result.summary()
+                    if report:
+                        reply["records"] = result.records
+                        reply["summary"] = result.summary()
                 return reply
             if not self._pending:
                 return {
@@ -378,70 +386,89 @@ class SweepServer:
                         1.0, max(0.05, self.lease_seconds / 2.0)
                     ),
                 }
-            index = self._pending.popleft()
-            job = self._jobs[index]
-            attempt = self._attempts.get(job.job_id, 0) + 1
-            self._attempts[job.job_id] = attempt
-        lease = self.leases.grant(job.job_id, worker, attempt)
-        payload = dict(self._payloads[index])
+            unit = self._pending.popleft()
+            job_ids = [self._jobs[index].job_id for index in unit]
+            # Retries run alone, so a unit's jobs share their attempt.
+            attempt = self._attempts.get(job_ids[0], 0) + 1
+            for job_id in job_ids:
+                self._attempts[job_id] = attempt
+            key = job_ids[0]
+            self._leased[key] = list(unit)
+            lease = self.leases.grant(key, worker, attempt)
+        jobs: list[dict[str, Any]] = []
         network_faults: list[dict[str, Any]] = []
-        if self.fault_plan is not None:
-            actions = self.fault_plan.actions_for(
-                job.job_id, index, attempt
-            )
-            in_process = [a for a in actions if not a.is_network]
-            network_faults = [
-                a.to_dict() for a in actions if a.is_network
-            ]
-            if in_process:
-                payload["_fault"] = [a.to_dict() for a in in_process]
+        for index, job_id in zip(unit, job_ids):
+            payload = self._payloads[index]
+            if self.fault_plan is not None:
+                actions = self.fault_plan.actions_for(job_id, index, attempt)
+                network_faults += [
+                    a.to_dict() for a in actions if a.is_network
+                ]
+                in_process = [
+                    a.to_dict() for a in actions if not a.is_network
+                ]
+                if in_process:
+                    payload = {**payload, "_fault": in_process}
+            jobs.append({"index": index, "job_id": job_id, "payload": payload})
         return {
-            "type": "job",
-            "index": index,
-            "job_id": job.job_id,
+            "type": "unit",
+            "unit": key,
             "attempt": attempt,
-            "payload": payload,
+            "jobs": jobs,
             "network_faults": network_faults,
             "lease_seconds": self.lease_seconds,
             "deadline_seconds": lease.deadline - lease.granted_at,
         }
 
-    def _on_result(
-        self, message: dict[str, Any], worker: str
-    ) -> dict[str, Any]:
-        job_id = str(message.get("job_id", ""))
-        record = message.get("record")
+    def _on_result(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Settle a unit's records, each on its own job."""
+        records = message.get("records")
+        if not isinstance(records, list):
+            records = []
+        malformed = 0 if records else 1
+        duplicates = 0
         with self._lock:
-            index = self._index_by_job.get(job_id)
-            if index is None or not isinstance(record, dict):
-                return {
-                    "type": "ack",
-                    "accepted": False,
-                    "duplicate": False,
-                    "reason": "unknown job or malformed record",
-                }
-            if index in self._ledger.records:
-                # Late result from a presumed-dead worker for a job
-                # someone else already finished: idempotent discard.
-                self._duplicates += 1
-                if self.leases.holder(job_id) == worker:
-                    self.leases.release(job_id)
-                return {
-                    "type": "ack",
-                    "accepted": True,
-                    "duplicate": True,
-                }
-            # First completion wins, even if the lease expired and the
-            # job is pending (or re-leased) elsewhere: execution is
-            # deterministic, so any re-run would produce this record.
-            self.leases.release(job_id)
-            try:
-                self._pending.remove(index)
-            except ValueError:
-                pass
-            self._settle(index, record, self._attempts.get(job_id, 1))
+            for record in records:
+                job_id = str(
+                    record.get("job_id") if isinstance(record, dict) else ""
+                )
+                index = self._index_by_job.get(job_id)
+                if index is None:
+                    malformed += 1
+                    continue
+                if index in self._ledger.records:
+                    # Late result from a presumed-dead worker for a job
+                    # someone else already finished: idempotent discard.
+                    duplicates += 1
+                    continue
+                # First completion wins, even if the lease expired and
+                # the job is pending (or re-leased) elsewhere: execution
+                # is deterministic, so any re-run would produce this
+                # record.
+                self._release_job(index)
+                with contextlib.suppress(ValueError):
+                    self._pending.remove([index])
+                self._settle(index, record, self._attempts.get(job_id, 1))
+            self._duplicates += duplicates
         self._maybe_finish()
-        return {"type": "ack", "accepted": True, "duplicate": False}
+        reply: dict[str, Any] = {
+            "type": "ack",
+            "accepted": not malformed,
+            "duplicates": duplicates,
+        }
+        if malformed:
+            reply["reason"] = "unknown job or malformed record"
+        return reply
+
+    def _release_job(self, index: int) -> None:
+        """Take a job with a result off its lease, and release a lease
+        left with no job to wait for; called under lock."""
+        for key, outstanding in list(self._leased.items()):
+            if index in outstanding:
+                outstanding.remove(index)
+                if not outstanding:
+                    self.leases.release(key)
+                    del self._leased[key]
 
     def _on_status(self) -> dict[str, Any]:
         with self._lock:
@@ -451,7 +478,7 @@ class SweepServer:
                 "campaign_id": self.campaign_id,
                 "total": len(self._jobs),
                 "done": len(self._ledger.records),
-                "pending": len(self._pending),
+                "pending": sum(len(unit) for unit in self._pending),
                 "leased": len(self.leases),
                 "workers": sorted(self._workers_seen),
                 "finished": self._finished,
@@ -474,6 +501,7 @@ class SweepServer:
             max(1, seen),
             {
                 "runner.workers.peak": seen,
+                "runner.units": self.leases.granted,
                 **self.leases.counters(),
                 "service.heartbeats": self.leases.renewed,
                 "service.reconnects": self._reconnects,

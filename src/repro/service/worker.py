@@ -1,12 +1,14 @@
 """The sweep worker: claim, heartbeat, execute, submit, repeat.
 
 A :class:`SweepWorker` attaches to a :class:`~repro.service.server.
-SweepServer`, claims jobs under the server's leases, executes them
-in-process through the ordinary :func:`~repro.experiments.runner.
-execute_job` path, and streams results back.  A daemon heartbeat
-thread renews the lease of whatever job is in flight, sharing the
-single connection safely (the :class:`~repro.service.protocol.
-FrameChannel` serialises request/response pairs).
+SweepServer`, claims execution units under the server's leases, runs
+each in-process through :func:`~repro.experiments.runner.
+execute_unit` — one simulation for jobs that share a timing
+signature — and sends the unit's records back in one result frame.
+A daemon heartbeat thread renews the lease of whatever unit is in
+flight, sharing the single connection safely (the
+:class:`~repro.service.protocol.FrameChannel` serialises
+request/response pairs).
 
 Robustness duties on this side of the wire:
 
@@ -17,15 +19,18 @@ Robustness duties on this side of the wire:
   a ``server_lost`` summary so the CLI can exit cleanly with a resume
   hint instead of spinning against a dead address.
 * **Shared verified cache** — with a cache under a shared root, the
-  worker serves repeat keys from disk (verify-on-read) and takes a
-  cross-process atomic claim before computing, so two workers landing
-  on the same key at once don't duplicate the simulation; a worker
-  that dies holding a claim is stolen from after the stale window.
+  worker serves repeat keys from disk (verify-on-read) per job and
+  takes a cross-process atomic claim on each key it misses before
+  computing, so two workers landing on the same key at once don't
+  duplicate the simulation; the missed jobs run as one unit.  A
+  worker that dies holding a claim is stolen from after the stale
+  window.
 * **Network fault injection** — the server ships
   :data:`~repro.experiments.faults.NETWORK_FAULT_KINDS` actions with
-  a job grant and the worker fires them through the real socket:
+  a grant (only jobs the fault plan names carry them, and those are
+  units of one) and the worker fires them through the real socket:
   dropping the connection without submitting (lease expiry re-queues),
-  stalling heartbeats while the job keeps computing (the late-result
+  stalling heartbeats while the unit keeps computing (the late-result
   path), writing a half frame then resubmitting properly, and
   submitting a duplicate result.
 
@@ -42,7 +47,7 @@ from typing import Any
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.faults import FaultAction
-from repro.experiments.runner import execute_job
+from repro.experiments.runner import execute_unit
 from repro.experiments.spec import JobSpec
 from repro.service.protocol import (
     FrameChannel,
@@ -113,7 +118,7 @@ class SweepWorker:
         self.drops = 0
         self._channel: FrameChannel | None = None
         self._stop = threading.Event()
-        self._current_job: str | None = None
+        self._current_unit: str | None = None
         self._stall_until = 0.0
         self._rejected: str | None = None
 
@@ -180,8 +185,8 @@ class SweepWorker:
                 }
             )
             kind = reply.get("type")
-            if kind == "job":
-                self._run_job(reply)
+            if kind == "unit":
+                self._run_unit(reply)
             elif kind == "wait":
                 time.sleep(float(reply.get("seconds", 0.2)))
             elif kind == "drain":
@@ -271,8 +276,8 @@ class SweepWorker:
             interval = self.heartbeat_seconds or 1.0
             if self._stop.wait(interval):
                 return
-            job_id = self._current_job
-            if job_id is None:
+            unit = self._current_unit
+            if unit is None:
                 continue
             if time.monotonic() < self._stall_until:
                 continue  # injected heartbeat stall: stay silent
@@ -284,7 +289,7 @@ class SweepWorker:
                     {
                         "type": "heartbeat",
                         "worker": self.name,
-                        "job_id": job_id,
+                        "unit": unit,
                     },
                     timeout=self.request_timeout,
                 )
@@ -293,12 +298,13 @@ class SweepWorker:
                 # worst costs the lease, which the server re-grants.
                 continue
 
-    # -- job execution ---------------------------------------------------
+    # -- unit execution --------------------------------------------------
 
-    def _run_job(self, grant: dict[str, Any]) -> None:
-        job_id = str(grant.get("job_id"))
-        attempt = int(grant.get("attempt", 1))
-        payload = grant.get("payload") or {}
+    def _run_unit(self, grant: dict[str, Any]) -> None:
+        unit = str(grant.get("unit"))
+        payloads = [
+            job.get("payload") or {} for job in grant.get("jobs") or ()
+        ]
         faults = [
             FaultAction.from_dict(dict(d))
             for d in grant.get("network_faults") or ()
@@ -308,25 +314,25 @@ class SweepWorker:
         )
         if stall is not None:
             self._stall_until = time.monotonic() + stall.hang_seconds
-        self._current_job = job_id
+        self._current_unit = unit
         try:
-            record = self._execute(payload)
+            records = self._execute(payloads)
         finally:
-            self._current_job = None
-        if record.get("status") == "ok":
-            self.jobs_done += 1
-        else:
-            self.jobs_failed += 1
+            self._current_unit = None
+        for record in records:
+            if record.get("status") == "ok":
+                self.jobs_done += 1
+            else:
+                self.jobs_failed += 1
         message = {
             "type": "result",
             "worker": self.name,
-            "job_id": job_id,
-            "attempt": attempt,
-            "record": record,
+            "unit": unit,
+            "records": records,
         }
         if any(a.kind == "drop_connection" for a in faults):
             # Die on the wire: close without submitting.  The computed
-            # record is discarded; the lease expires and the job is
+            # records are discarded; the lease expires and each job is
             # re-queued for someone else — work lost, correctness kept.
             self.drops += 1
             self._close()
@@ -353,44 +359,66 @@ class SweepWorker:
         if not ack.get("accepted", False):
             self.jobs_failed += 1
 
-    def _execute(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Run one payload, deduping through the shared cache if any."""
-        if self.cache is None:
-            return execute_job(payload)
-        clean = dict(payload)
-        clean.pop("_fault", None)
+    def _execute(
+        self, payloads: list[dict[str, Any]]
+    ) -> list[dict[str, Any]]:
+        """Run one unit, deduping each job through the shared cache.
+
+        Cache hits are served per job; the jobs left over run as one
+        :func:`execute_unit` call under a claim on each of their keys.
+        A payload that does not decode runs uncached and reports its
+        own error.
+        """
+        cache = self.cache
+        if cache is None:
+            return execute_unit(payloads)
+        records: list[dict[str, Any] | None] = [None] * len(payloads)
+        keys: list[str | None] = [None] * len(payloads)
+        claimed: list[str] = []
+        deadline = time.monotonic() + self.claim_poll_seconds
         try:
-            job = JobSpec.from_dict(clean)
-        except Exception:
-            return execute_job(payload)
-        key = self.cache.key_for(job)
-        record = self.cache.get(key)
-        if record is not None:
-            self.cache_hits += 1
-            return record
-        claimed = self.cache.claim(key)
-        if not claimed:
-            # Another worker is computing this exact key right now.
-            # Poll briefly for its entry; past the budget, compute
-            # anyway — duplicated work is wasted, never wrong.
-            deadline = time.monotonic() + self.claim_poll_seconds
-            while time.monotonic() < deadline:
-                time.sleep(0.05)
-                record = self.cache.get(key)
-                if record is not None:
-                    self.cache_hits += 1
-                    return record
-                if self.cache.claim(key):
-                    claimed = True
-                    break
-        try:
-            record = execute_job(payload)
-            if record.get("status") == "ok":
-                self.cache.put(key, record)
-            return record
+            for i, payload in enumerate(payloads):
+                clean = dict(payload)
+                clean.pop("_fault", None)
+                try:
+                    keys[i] = key = cache.key_for(JobSpec.from_dict(clean))
+                except Exception:
+                    continue
+                records[i], owned = self._hit_or_claim(cache, key, deadline)
+                if owned:
+                    claimed.append(key)
+            missed = [i for i, record in enumerate(records) if record is None]
+            fresh = execute_unit([payloads[i] for i in missed])
+            for i, record in zip(missed, fresh):
+                key = keys[i]
+                if key is not None and record.get("status") == "ok":
+                    cache.put(key, record)
+                records[i] = record
+            return records  # type: ignore[return-value]
         finally:
-            if claimed:
-                self.cache.release_claim(key)
+            for key in claimed:
+                cache.release_claim(key)
+
+    def _hit_or_claim(
+        self, cache: ResultCache, key: str, deadline: float
+    ) -> tuple[dict[str, Any] | None, bool]:
+        """The cached record, or None to compute and whether we hold
+        the key's claim.
+
+        A key another worker is computing right now is polled for
+        until ``deadline``; past it, compute anyway — duplicated work
+        is wasted, never wrong.
+        """
+        while True:
+            record = cache.get(key)
+            if record is not None:
+                self.cache_hits += 1
+                return record, False
+            if cache.claim(key):
+                return None, True
+            if time.monotonic() >= deadline:
+                return None, False
+            time.sleep(0.05)
 
 
 def run_worker(

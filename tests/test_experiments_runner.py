@@ -476,16 +476,19 @@ class TestEngineParity:
         bad = [r for r in local.records if r["status"] == "error"]
         assert [(r["job_id"], r["attempts"]) for r in bad] == [(job1, 2)]
 
-        # Dispatch shape is engine-specific: the server leases single
-        # jobs, the runner groups jobs that share a timing signature.
+        # Both engines run the ledger's units and count every dispatch
+        # (retries included) in runner.units: leases granted on the
+        # server, units sent to a worker by the runner.  Only the
+        # worker pool differs.
         def shared(metrics):
             return {
                 k: v for k, v in metrics.items()
                 if not k.startswith("service.")
-                and k not in ("runner.workers.peak", "runner.units")
+                and k != "runner.workers.peak"
             }
 
         assert shared(served.metrics) == shared(local.metrics)
+        assert served.metrics["runner.units"] == 5
 
 
 def coding_spec(**overrides) -> SweepSpec:

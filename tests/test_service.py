@@ -15,6 +15,7 @@ the test driver.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
 import time
 
@@ -22,7 +23,11 @@ import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.faults import FaultAction, FaultPlan
-from repro.experiments.runner import SpecDriftError, execute_job
+from repro.experiments.runner import (
+    SpecDriftError,
+    execute_job,
+    execute_unit,
+)
 from repro.experiments.spec import campaign_id
 from repro.experiments.store import CampaignJournal, ResultStore
 from repro.service import (
@@ -42,9 +47,16 @@ from test_experiments_runner import spy_on_cache
 
 
 def tiny_spec(**overrides):
-    """A one-job grid — the unit for manual protocol sessions."""
+    """A one-job grid — a unit of one for manual protocol sessions."""
     return small_spec(
         axes={"mesh": ["2x2:1"], "ordering": ["O0"]}, **overrides
+    )
+
+
+def pair_spec(**overrides):
+    """One mesh, two orderings: one execution unit of two jobs."""
+    return small_spec(
+        axes={"mesh": ["2x2:1"], "ordering": ["O0", "O2"]}, **overrides
     )
 
 
@@ -101,6 +113,42 @@ def ok_record(server, index=0):
     return record
 
 
+def hello(server, worker):
+    channel = connect(server.host, server.port)
+    channel.request({"type": "hello", "worker": worker})
+    return channel
+
+
+def claim(channel, worker):
+    return channel.request({"type": "claim", "worker": worker})
+
+
+def beat(channel, worker, grant):
+    return channel.request(
+        {"type": "heartbeat", "worker": worker, "unit": grant["unit"]}
+    )
+
+
+def submit(channel, worker, grant, records):
+    return channel.request(
+        {
+            "type": "result",
+            "worker": worker,
+            "unit": grant["unit"],
+            "records": records,
+        }
+    )
+
+
+def fake_records(server, grant):
+    return [ok_record(server, job["index"]) for job in grant["jobs"]]
+
+
+def run_grant(grant):
+    """Really execute a granted unit, as a worker does."""
+    return execute_unit([job["payload"] for job in grant["jobs"]])
+
+
 class TestServedCampaign:
     def test_clean_served_run_matches_inline(self):
         server = serve(small_spec())
@@ -114,9 +162,30 @@ class TestServedCampaign:
         assert stripped(result.records) == fault_free_records()
         assert all(s["drained"] for s in summaries)
         assert sum(s["jobs_done"] for s in summaries) == 4
-        assert result.metrics["service.leases.granted"] == 4
+        # small_spec's 4 jobs share 2 timing signatures: 2 units.
+        assert result.metrics["service.leases.granted"] == 2
+        assert result.metrics["runner.units"] == 2
         assert result.metrics["service.workers.peak"] == 2
         assert result.metrics["service.leases.expired"] == 0
+
+    def test_more_workers_than_units_lease_each_unit_once(self):
+        """Six workers race for two units under frequent thread
+        switches: each unit is leased once, each job settles once."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        server = serve(small_spec())
+        try:
+            summaries = attach_workers(server, 6)
+            result = server.wait(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+            server.close()
+        assert result is not None and result.errors == 0
+        assert all(s["drained"] for s in summaries)
+        assert sum(s["jobs_done"] for s in summaries) == 4
+        assert stripped(result.records) == fault_free_records()
+        assert result.metrics["service.leases.granted"] == 2
+        assert result.metrics["service.results.duplicate"] == 0
 
     def test_reporter_worker_receives_records(self):
         server = serve(tiny_spec())
@@ -129,6 +198,31 @@ class TestServedCampaign:
             server.result.records
         )
         assert "1 jobs" in summary["summary"]
+
+    def test_worker_serves_unit_hits_per_job(self, tmp_path):
+        """One job of a unit is already cached: the worker serves it
+        from disk and runs only the other, under a claim it releases."""
+        cache_root = tmp_path / "shared"
+        spec = pair_spec()
+        first = spec.expand()[0]
+        cache = ResultCache(cache_root)
+        cache.put_job(first, execute_job(first.to_dict()))
+        server = serve(spec)
+        try:
+            (summary,) = attach_workers(
+                server, 1, cache=ResultCache(cache_root)
+            )
+            result = server.wait(timeout=60.0)
+        finally:
+            server.close()
+        assert result is not None and result.errors == 0
+        assert (summary["cache_hits"], summary["jobs_done"]) == (1, 2)
+        assert result.metrics["service.leases.granted"] == 1
+        assert stripped(result.records) == [
+            execute_job(job.to_dict()) for job in spec.expand()
+        ]
+        assert len(ResultCache(cache_root)) == 2
+        assert list((cache_root / "claims").glob("*.claim")) == []
 
     def test_cold_cache_read_and_never_sized(self, tmp_path, monkeypatch):
         consulted = spy_on_cache(monkeypatch)
@@ -224,9 +318,9 @@ class TestProtocolSession:
     """Drive the wire protocol by hand for exact reply semantics."""
 
     def test_session_lifecycle_and_duplicate_ack(self):
-        # Two jobs so the duplicate submission lands while the
+        # Two units so the duplicate submission lands while the
         # campaign is still open (and shows up in the final metrics).
-        spec = small_spec(axes={"mesh": ["2x2:1"], "ordering": ["O0", "O2"]})
+        spec = small_spec()
         server = serve(spec)
         try:
             channel = connect(server.host, server.port)
@@ -235,59 +329,49 @@ class TestProtocolSession:
             )
             assert welcome["type"] == "welcome"
             assert welcome["campaign_id"] == server.campaign_id
-            assert welcome["n_jobs"] == 2
+            assert welcome["n_jobs"] == 4
             assert welcome["heartbeat_seconds"] == pytest.approx(
                 server.lease_seconds / 3.0
             )
 
-            grant = channel.request(
-                {"type": "claim", "worker": "manual"}
-            )
-            assert grant["type"] == "job"
+            grant = claim(channel, "manual")
+            assert grant["type"] == "unit"
             assert grant["attempt"] == 1
-            assert (
-                grant["job_id"] == spec.expand()[grant["index"]].job_id
-            )
+            assert len(grant["jobs"]) == 2
+            for job in grant["jobs"]:
+                assert job["job_id"] == spec.expand()[job["index"]].job_id
+            assert grant["unit"] == grant["jobs"][0]["job_id"]
 
+            # One lease for the unit; status counts jobs.
             status = channel.request({"type": "status"})
-            assert (status["leased"], status["pending"]) == (1, 1)
+            assert (status["leased"], status["pending"]) == (1, 2)
+            assert status["done"] == 0
 
-            beat = channel.request(
-                {
-                    "type": "heartbeat",
-                    "worker": "manual",
-                    "job_id": grant["job_id"],
-                }
-            )
-            assert beat == {"type": "ack", "renewed": True}
-
-            result = {
-                "type": "result",
-                "worker": "manual",
-                "job_id": grant["job_id"],
-                "record": ok_record(server, grant["index"]),
+            assert beat(channel, "manual", grant) == {
+                "type": "ack",
+                "renewed": True,
             }
-            first = channel.request(result)
+
+            records = fake_records(server, grant)
+            first = submit(channel, "manual", grant, records)
             assert first == {
                 "type": "ack",
                 "accepted": True,
-                "duplicate": False,
+                "duplicates": 0,
             }
-            second = channel.request(result)
-            assert second["duplicate"] is True
+            status = channel.request({"type": "status"})
+            assert (status["leased"], status["done"]) == (0, 2)
+            second = submit(channel, "manual", grant, records)
+            assert second == {
+                "type": "ack",
+                "accepted": True,
+                "duplicates": 2,
+            }
 
-            other = channel.request({"type": "claim", "worker": "manual"})
-            channel.request(
-                {
-                    "type": "result",
-                    "worker": "manual",
-                    "job_id": other["job_id"],
-                    "record": ok_record(server, other["index"]),
-                }
-            )
-            drain = channel.request(
-                {"type": "claim", "worker": "manual"}
-            )
+            other = claim(channel, "manual")
+            assert other["type"] == "unit" and len(other["jobs"]) == 2
+            submit(channel, "manual", other, fake_records(server, other))
+            drain = claim(channel, "manual")
             assert drain["type"] == "drain"
             assert drain["reason"] == "complete"
             channel.close()
@@ -295,7 +379,45 @@ class TestProtocolSession:
         finally:
             server.close()
         assert final is not None
-        assert final.metrics["service.results.duplicate"] == 1
+        assert final.metrics["service.results.duplicate"] == 2
+        assert final.metrics["service.leases.granted"] == 2
+
+    def test_plain_claim_after_completion_drains_without_records(self):
+        server = serve(tiny_spec())
+        try:
+            channel = hello(server, "plain")
+            grant = claim(channel, "plain")
+            submit(channel, "plain", grant, fake_records(server, grant))
+            drain = claim(channel, "plain")
+            reporter = channel.request(
+                {"type": "claim", "worker": "plain", "report": True}
+            )
+            channel.close()
+        finally:
+            server.close()
+        assert drain["type"] == "drain"
+        assert (drain["reason"], drain["interrupted"]) == ("complete", False)
+        assert "records" not in drain and "summary" not in drain
+        assert len(reporter["records"]) == 1
+        assert "1 jobs" in reporter["summary"]
+
+    def test_partial_unit_result_keeps_the_lease_on_the_rest(self):
+        server = serve(pair_spec(), lease_seconds=0.3, max_retries=0)
+        try:
+            channel = hello(server, "half")
+            grant = claim(channel, "half")
+            records = fake_records(server, grant)
+            ack = submit(channel, "half", grant, records[:1])
+            assert ack["accepted"] is True
+            result = server.wait(timeout=10.0)
+            channel.close()
+        finally:
+            server.close()
+        assert result is not None
+        ok, lapsed = result.records
+        assert ok["status"] == "ok"
+        assert lapsed["error_class"] == "lease_expired"
+        assert result.quarantined == [lapsed["job_id"]]
 
     def test_malformed_result_not_accepted(self):
         server = serve(tiny_spec())
@@ -303,11 +425,23 @@ class TestProtocolSession:
             channel = connect(server.host, server.port)
             channel.request({"type": "hello", "worker": "m"})
             ack = channel.request(
-                {"type": "result", "worker": "m", "job_id": "nope"}
+                {"type": "result", "worker": "m", "unit": "nope"}
             )
             assert ack["accepted"] is False
+            ack = channel.request(
+                {
+                    "type": "result",
+                    "worker": "m",
+                    "unit": "nope",
+                    "records": [{"job_id": "nope"}, "junk"],
+                }
+            )
+            assert ack["accepted"] is False
+            assert ack["duplicates"] == 0
             unknown = channel.request({"type": "frobnicate"})
             assert unknown["type"] == "error"
+            status = channel.request({"type": "status"})
+            assert (status["done"], status["pending"]) == (0, 1)
             channel.close()
         finally:
             server.close()
@@ -315,13 +449,11 @@ class TestProtocolSession:
     def test_wait_reply_when_queue_is_leased_out(self):
         server = serve(tiny_spec())
         try:
-            a = connect(server.host, server.port)
-            a.request({"type": "hello", "worker": "a"})
-            grant = a.request({"type": "claim", "worker": "a"})
-            assert grant["type"] == "job"
-            b = connect(server.host, server.port)
-            b.request({"type": "hello", "worker": "b"})
-            told = b.request({"type": "claim", "worker": "b"})
+            a = hello(server, "a")
+            grant = claim(a, "a")
+            assert grant["type"] == "unit"
+            b = hello(server, "b")
+            told = claim(b, "b")
             assert told["type"] == "wait"
             assert told["seconds"] > 0
             a.close()
@@ -330,63 +462,43 @@ class TestProtocolSession:
             server.close()
 
 
+def steal_all(channel, worker, n, timeout=10.0):
+    """Claim until ``n`` grants arrive (the lapsed lease re-queues)."""
+    grants = []
+
+    def try_steal():
+        reply = claim(channel, worker)
+        if reply["type"] == "unit":
+            grants.append(reply)
+        return len(grants) == n
+
+    assert wait_for(try_steal, timeout=timeout, interval=0.1)
+    return grants
+
+
 class TestLeaseRecovery:
     def test_expired_lease_is_stolen_and_late_result_discarded(self):
         server = serve(tiny_spec(), lease_seconds=0.3)
         try:
             # w1 claims, then goes silent (no heartbeat).
-            w1 = connect(server.host, server.port)
-            w1.request({"type": "hello", "worker": "w1"})
-            grant1 = w1.request({"type": "claim", "worker": "w1"})
-            assert grant1["type"] == "job"
+            w1 = hello(server, "w1")
+            grant1 = claim(w1, "w1")
+            assert grant1["type"] == "unit"
 
             # The sweeper reaps the lease and re-queues the job.
-            w2 = connect(server.host, server.port)
-            w2.request({"type": "hello", "worker": "w2"})
-
-            def steal():
-                reply = w2.request({"type": "claim", "worker": "w2"})
-                return reply if reply["type"] == "job" else None
-
-            grant2 = None
-
-            def try_steal():
-                nonlocal grant2
-                grant2 = steal()
-                return grant2 is not None
-
-            assert wait_for(try_steal, timeout=10.0, interval=0.1)
-            assert grant2["job_id"] == grant1["job_id"]
+            w2 = hello(server, "w2")
+            (grant2,) = steal_all(w2, "w2", 1)
+            assert grant2["unit"] == grant1["unit"]
+            assert grant2["jobs"] == grant1["jobs"]
             assert grant2["attempt"] == 2
 
             # w1's heartbeat is refused: its lease is gone.
-            beat = w1.request(
-                {
-                    "type": "heartbeat",
-                    "worker": "w1",
-                    "job_id": grant1["job_id"],
-                }
-            )
-            assert beat["renewed"] is False
+            assert beat(w1, "w1", grant1)["renewed"] is False
 
             # w2 completes; w1's late result is a duplicate.
-            w2.request(
-                {
-                    "type": "result",
-                    "worker": "w2",
-                    "job_id": grant2["job_id"],
-                    "record": ok_record(server),
-                }
-            )
-            late = w1.request(
-                {
-                    "type": "result",
-                    "worker": "w1",
-                    "job_id": grant1["job_id"],
-                    "record": ok_record(server),
-                }
-            )
-            assert late["duplicate"] is True
+            submit(w2, "w2", grant2, fake_records(server, grant2))
+            late = submit(w1, "w1", grant1, fake_records(server, grant1))
+            assert late["duplicates"] == 1
             w1.close()
             w2.close()
             result = server.wait(timeout=5.0)
@@ -398,58 +510,91 @@ class TestLeaseRecovery:
         assert result.metrics["service.heartbeats.missed"] >= 1
         assert result.retries >= 1
 
-    def test_heartbeats_keep_a_slow_job_alive(self):
-        server = serve(tiny_spec(), lease_seconds=0.4)
+    def test_lapsed_unit_requeues_each_job_alone(self):
+        spec = pair_spec()
+        server = serve(spec, lease_seconds=0.3)
         try:
-            channel = connect(server.host, server.port)
-            channel.request({"type": "hello", "worker": "slow"})
-            grant = channel.request({"type": "claim", "worker": "slow"})
+            # w1 claims the unit of two, then goes silent.
+            w1 = hello(server, "w1")
+            grant1 = claim(w1, "w1")
+            assert [job["index"] for job in grant1["jobs"]] == [0, 1]
+
+            # Each job comes back alone at attempt 2; w2 steals both
+            # and really runs them.
+            w2 = hello(server, "w2")
+            grants = steal_all(w2, "w2", 2)
+            assert [g["attempt"] for g in grants] == [2, 2]
+            assert [len(g["jobs"]) for g in grants] == [1, 1]
+            assert [g["jobs"][0] for g in grants] == grant1["jobs"]
+            for grant in grants:
+                ack = submit(w2, "w2", grant, run_grant(grant))
+                assert ack == {
+                    "type": "ack",
+                    "accepted": True,
+                    "duplicates": 0,
+                }
+
+            # w1's late unit result is acknowledged; each of its jobs
+            # counts once as a duplicate.  (It lands after the campaign
+            # finished, so the final metrics cannot count it.)
+            late = submit(w1, "w1", grant1, run_grant(grant1))
+            assert late == {"type": "ack", "accepted": True, "duplicates": 2}
+            w1.close()
+            w2.close()
+            result = server.wait(timeout=5.0)
+        finally:
+            server.close()
+        assert result is not None and result.errors == 0
+        assert stripped(result.records) == [
+            execute_job(job.to_dict()) for job in spec.expand()
+        ]
+        assert result.retries == 2
+        assert result.metrics["service.leases.expired"] == 1
+        assert result.metrics["service.leases.granted"] == 3
+        assert result.metrics["runner.units"] == 3
+        # A unit's lease is keyed by its first job: one steal.
+        assert result.metrics["service.jobs.stolen"] == 1
+
+    def test_heartbeats_keep_a_slow_job_alive(self):
+        server = serve(pair_spec(), lease_seconds=0.4)
+        try:
+            channel = hello(server, "slow")
+            grant = claim(channel, "slow")
+            assert len(grant["jobs"]) == 2
             # "Compute" for three lease budgets, beating throughout.
             for _ in range(12):
                 time.sleep(0.1)
-                beat = channel.request(
-                    {
-                        "type": "heartbeat",
-                        "worker": "slow",
-                        "job_id": grant["job_id"],
-                    }
-                )
-                assert beat["renewed"] is True
-            ack = channel.request(
-                {
-                    "type": "result",
-                    "worker": "slow",
-                    "job_id": grant["job_id"],
-                    "record": ok_record(server),
-                }
-            )
-            assert ack["duplicate"] is False
+                assert beat(channel, "slow", grant)["renewed"] is True
+            ack = submit(channel, "slow", grant, fake_records(server, grant))
+            assert ack["duplicates"] == 0
             channel.close()
             result = server.wait(timeout=5.0)
         finally:
             server.close()
-        assert result is not None
+        assert result is not None and result.errors == 0
         assert result.metrics["service.leases.expired"] == 0
         assert result.metrics["service.leases.renewed"] >= 12
 
     def test_exhausted_lease_retries_quarantine(self):
-        server = serve(tiny_spec(), lease_seconds=0.2, max_retries=0)
+        spec = pair_spec()
+        server = serve(spec, lease_seconds=0.2, max_retries=0)
         try:
-            channel = connect(server.host, server.port)
-            channel.request({"type": "hello", "worker": "dead"})
-            grant = channel.request({"type": "claim", "worker": "dead"})
-            assert grant["type"] == "job"
+            channel = hello(server, "dead")
+            grant = claim(channel, "dead")
+            assert len(grant["jobs"]) == 2
             result = server.wait(timeout=10.0)
             channel.close()
         finally:
             server.close()
         assert result is not None
-        assert result.errors == 1
-        assert result.quarantined == [grant["job_id"]]
-        bad = result.records[0]
-        assert bad["error_class"] == "lease_expired"
-        assert "stopped heartbeating" in bad["error"]
-        assert bad["quarantined"] is True
+        # Every job of the lapsed unit fails on its own.
+        assert result.errors == 2
+        assert result.quarantined == [job["job_id"] for job in grant["jobs"]]
+        for bad in result.records:
+            assert bad["error_class"] == "lease_expired"
+            assert "stopped heartbeating" in bad["error"]
+            assert bad["quarantined"] is True
+            assert bad["attempts"] == 1
 
 
 class TestDrainAndResume:
@@ -459,32 +604,25 @@ class TestDrainAndResume:
         store = ResultStore(tmp_path / "c.jsonl")
         server = serve(spec, journal=journal, store=store)
         try:
-            channel = connect(server.host, server.port)
-            channel.request({"type": "hello", "worker": "one"})
-            grant = channel.request({"type": "claim", "worker": "one"})
-            # Really execute the first job: its journaled record must
-            # survive the resume byte-identically.
-            channel.request(
-                {
-                    "type": "result",
-                    "worker": "one",
-                    "job_id": grant["job_id"],
-                    "record": execute_job(grant["payload"]),
-                }
-            )
+            channel = hello(server, "one")
+            grant = claim(channel, "one")
+            assert len(grant["jobs"]) == 2
+            # Really execute the first unit: its journaled records
+            # must survive the resume byte-identically.
+            submit(channel, "one", grant, run_grant(grant))
             partial = server.shutdown()
             # A draining server tells claimants to go away.
-            drain = channel.request({"type": "claim", "worker": "one"})
+            drain = claim(channel, "one")
             assert drain["type"] == "drain"
             assert drain["interrupted"] is True
             channel.close()
         finally:
             server.close()
         assert partial.interrupted
-        assert len(partial.remaining) == 3
+        assert len(partial.remaining) == 2
         assert [e["event"] for e in journal.entries()][-1] == "checkpoint"
 
-        # Resume with a fresh server: only the 3 remaining jobs run.
+        # Resume with a fresh server: only the 2 remaining jobs run.
         resumed = serve(spec, journal=journal, store=store)
         try:
             attach_workers(resumed, 2)
@@ -492,8 +630,8 @@ class TestDrainAndResume:
         finally:
             resumed.close()
         assert final is not None and not final.interrupted
-        assert final.resumed == 1
-        assert final.misses == 3
+        assert final.resumed == 2
+        assert final.misses == 2
         assert stripped(final.records) == fault_free_records()
         assert [e["event"] for e in journal.entries()][-1] == "end"
 
