@@ -889,7 +889,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         job_timeout=args.job_timeout,
         max_retries=args.max_retries,
-        backoff_seed=spec.seed,
         fault_plan=fault_plan,
         journal=journal,
     )

@@ -15,41 +15,45 @@ lives here once, in ``_Ledger``, and every engine shares it:
   own ``transient_errors``; the engines' synthetic ``timeout``,
   ``worker_crash`` and ``lease_expired`` records included) retry up
   to ``max_retries`` times; a job that exhausts them is quarantined;
-  deterministic failures are final at once.  A final ok record is
-  journaled the moment it lands — the crash-safety contract — and
-  cached;
-* **units** — split the jobs to run into execution units.  Model jobs
-  that differ only in their coding (ordering, data format, fill
-  order, codec) share a *timing signature*: the NoC moves their flits
-  on the same cycles, so one unit simulates the schedule once and
-  scores every coding on it
+  deterministic failures are final at once.  A unit's final ok
+  records are journaled in one write before any of them is reported
+  — the crash-safety contract — and cached;
+* **schedule** — split the jobs to run into execution units and queue
+  them.  Model jobs that differ only in their coding (ordering, data
+  format, fill order, codec) share a *timing signature*: the NoC
+  moves their flits on the same cycles, so one unit simulates the
+  schedule once and scores every coding on it
   (:func:`~repro.accelerator.simulator.run_codings`).  Jobs of other
-  kinds, jobs the fault plan names, and retries run alone;
+  kinds and jobs the fault plan names are units of one.  A retry
+  re-queues alone at its next attempt, ready after the seeded backoff
+  (:func:`~repro.experiments.faults.backoff_seconds`, seeded by the
+  spec's seed) while other units go on.  Taking a unit counts it in
+  ``runner.units`` and splits its fault-plan actions: in-process ones
+  ride the payload's ``_fault``, network ones come back beside it;
 * **finish** — assemble the records in grid order, aggregate the
   metrics, write the store, and journal the ``end`` entry (or a
   ``checkpoint`` when interrupted).
 
-Every job's record still settles, journals and caches on its own, and
-equals the record the job gets when it runs alone; a unit whose group
+Every job's record still settles and caches on its own, and equals
+the record the job gets when it runs alone; a unit whose group
 execution raises re-runs each job alone (:func:`execute_unit`).  The
-engines only move units and choose when a retry runs:
+engines are transports only: they take the ledger's next ready unit,
+run it, and hand back its records or the failure they observed.
 
 * the inline loop (``workers=1``, no timeout or fault plan) calls
-  :func:`execute_unit` in-process and sleeps the seeded backoff
-  between attempts;
+  :func:`execute_unit` in-process and sleeps while every queued unit
+  waits out a backoff;
 * ``_Supervisor`` forks up to ``workers`` long-lived workers, lazily,
   and feeds each one unit at a time over a duplex pipe.  A worker past
   its deadline (``job_timeout`` per job of the unit) is killed (a
-  ``JobTimeout`` record per job), one that dies without records
-  (``os._exit``, SIGKILL, OOM) is a ``WorkerCrash`` per job, and
-  either is replaced by a fresh fork on the next dispatch; a retry
-  sits out its seeded backoff while other units run.  Forking per
-  attempt instead cost more than the jobs on a simulation-scale grid;
-  reuse is safe because a record depends only on its job, never on
-  what the process ran before;
+  ``timeout`` failure), one that dies without records (``os._exit``,
+  SIGKILL, OOM) is a ``worker_crash``, and either is replaced by a
+  fresh fork on the next dispatch.  Forking per attempt instead cost
+  more than the jobs on a simulation-scale grid; reuse is safe because
+  a record depends only on its job, never on what the process ran
+  before;
 * :class:`~repro.service.server.SweepServer` leases units to socket
-  workers, turns a lapsed lease into a ``LeaseExpired`` record per
-  job of the unit, and re-queues a retry at the back of its queue.
+  workers and turns a lapsed lease into a ``lease_expired`` failure.
 
 Execution dispatches through the job-kind registry
 (:mod:`repro.experiments.kinds`), so every kind shares the engines.
@@ -278,12 +282,15 @@ def _worker_loop(conn, parent_end) -> None:
 
 @dataclass
 class _Unit:
-    """One dispatch the supervisor tracks: the grid indices of jobs
-    that run together on one attempt (a retry runs alone)."""
+    """One take from the ledger's queue: the grid indices of jobs that
+    run together on one attempt (a retry runs alone), their payloads
+    (in-process faults in ``_fault``), and the network faults the
+    socket layer fires."""
 
     indices: list[int]
-    payloads: list[dict[str, Any]]
-    attempt: int = 1
+    attempt: int
+    payloads: list[dict[str, Any]] = field(default_factory=list)
+    network_faults: list[dict[str, Any]] = field(default_factory=list)
 
 
 def _kind_transients(kind_name: str) -> tuple[str, ...]:
@@ -408,21 +415,24 @@ class CampaignResult:
 
 
 class _Ledger:
-    """One campaign's bookkeeping, shared by every engine.
+    """One campaign's bookkeeping and unit queue, shared by every engine.
 
-    An engine calls :meth:`open` once, :meth:`settle` once per job of
-    each finished attempt, and :meth:`finish` once (and asks
-    :meth:`units` how to group the jobs to run); it never
-    touches the cache, journal, or store itself.  Not thread-safe: the
-    sweep server calls it under its own lock.
+    An engine calls :meth:`open` once, then loops: :meth:`take` the
+    next ready unit (:meth:`ready_in` says how long until there is
+    one), run it, and hand back its records to :meth:`settle` or the
+    failure it observed to :meth:`fail`; finally it calls
+    :meth:`finish`.  It never touches the cache, journal, store,
+    attempt numbers or fault plan itself.  Not thread-safe: the sweep
+    server calls it under its own lock.
 
     Attributes:
         records: grid index -> landed record (resumed, cached, or
             final fresh); a job with no entry has not finished.
         cached / resumed: grid indices served by the cache / journal.
         retries / timeouts / worker_crashes / quarantined: the
-            resilience counters :meth:`finish` reports; engines count
-            their own timeouts and crashes here.
+            resilience counters :meth:`finish` reports.
+        taken: units taken, retries included (``runner.units``).
+        clock: the queue's monotonic clock.
     """
 
     def __init__(
@@ -433,6 +443,7 @@ class _Ledger:
         store: ResultStore | None,
         journal: CampaignJournal | None,
         max_retries: int,
+        fault_plan: FaultPlan | None = None,
     ) -> None:
         self.name = name
         self.jobs = jobs
@@ -440,6 +451,7 @@ class _Ledger:
         self.store = store
         self.journal = journal
         self.max_retries = max_retries
+        self.fault_plan = fault_plan
         self.records: dict[int, dict[str, Any]] = {}
         self.cached: set[int] = set()
         self.resumed: set[int] = set()
@@ -447,17 +459,25 @@ class _Ledger:
         self.timeouts = 0
         self.worker_crashes = 0
         self.quarantined: list[str] = []
+        self.taken = 0
+        self.clock: Callable[[], float] = time.monotonic
         self.started = 0.0
         self._corrupt_before = 0
+        self._seed = 0
+        self._fresh: deque[list[int]] = deque()
+        # Retries sitting out their backoff: (ready_at, index, attempt).
+        self._backoff: list[tuple[float, int, int]] = []
+        self._attempts: dict[int, int] = {}
 
-    def open(self, spec: SweepSpec | None) -> list[int]:
-        """Start or resume the journal and triage the grid.
+    def open(self, spec: SweepSpec | None) -> list[list[int]]:
+        """Start or resume the journal, triage the grid, queue units.
 
-        Returns the grid indices still to run.  Raises
+        Returns the queued execution units.  Raises
         :class:`SpecDriftError` when the journal records a different
         campaign than ``spec`` derives.
         """
         self.started = time.perf_counter()
+        self._seed = spec.seed if spec is not None else 0
         # ``is not None``, never truthiness: ResultCache.__len__ globs
         # the cache directory, and an empty cache must still be read.
         if self.cache is not None:
@@ -490,24 +510,24 @@ class _Ledger:
                 todo.append(index)
                 continue
             self.records[index] = record
-        return todo
+        self._fresh.extend(self.units(todo))
+        return list(self._fresh)
 
-    def units(
-        self, todo: list[int], fault_plan: FaultPlan | None = None
-    ) -> list[list[int]]:
+    def units(self, todo: list[int]) -> list[list[int]]:
         """Split the grid indices to run into execution units.
 
         Jobs with one :meth:`~repro.experiments.kinds.JobKind.unit_key`
         form one unit, placed at the grid position of its first job.
-        Jobs of kinds without a key, and jobs ``fault_plan`` names on
+        Jobs of kinds without a key, and jobs the fault plan names on
         any attempt, are units of one.
         """
+        plan = self.fault_plan
         units: list[list[int]] = []
         by_key: dict[Any, list[int]] = {}
         for index in todo:
             job = self.jobs[index]
             key = None
-            if fault_plan is None or not fault_plan.names(job.job_id, index):
+            if plan is None or not plan.names(job.job_id, index):
                 key = job_kind(job.kind).unit_key(job)
             if key is None:
                 units.append([index])
@@ -534,44 +554,141 @@ class _Ledger:
                 f"fresh campaign (delete the journal)"
             )
 
-    def settle(
-        self, index: int, record: dict[str, Any], attempt: int
-    ) -> dict[str, Any] | None:
-        """Land job ``index``'s record, or return None to retry it.
+    @property
+    def pending(self) -> int:
+        """Jobs queued: in units not yet taken, or retries in backoff."""
+        return sum(map(len, self._fresh)) + len(self._backoff)
 
-        A transient-class failure on ``attempt <= max_retries`` counts
-        a retry and returns None; the engine decides when the next
-        attempt runs.  Otherwise the record is final: an error gains
-        ``error_class``, ``attempts`` and ``quarantined`` (true for a
-        transient class that ran out of retries); an ok record is
-        journaled in its store form and cached.  Returns the final
-        record.
+    def ready_in(self) -> float | None:
+        """Seconds until :meth:`take` has a unit (0.0 when one is
+        ready now), or None when nothing is queued."""
+        if self._fresh:
+            return 0.0
+        if self._backoff:
+            return max(0.0, self._backoff[0][0] - self.clock())
+        return None
+
+    def take(self) -> _Unit | None:
+        """The next ready unit, or None while every queued one waits.
+
+        A retry past its backoff goes first, alone, at its next
+        attempt; then fresh units in grid order.  Fault-plan actions
+        for this attempt split here: in-process ones ride the payload's
+        ``_fault``, network ones (the socket layer's to fire) go to
+        ``network_faults``.
         """
-        job = self.jobs[index]
-        if record.get("status") == "ok":
-            if self.journal is not None:
-                self.journal.record_job(
-                    {**record, "cached": False, "campaign": self.name}
-                )
-            if self.cache is not None:
-                self.cache.put_job(job, record)
+        if self._backoff and self._backoff[0][0] <= self.clock():
+            _, index, attempt = heapq.heappop(self._backoff)
+            unit = _Unit([index], attempt)
+        elif self._fresh:
+            unit = _Unit(self._fresh.popleft(), 1)
         else:
-            error_class = record.get("error_class") or classify_error(
-                record.get("error"), _kind_transients(job.kind)
+            return None
+        self.taken += 1
+        for index in unit.indices:
+            self._attempts[index] = unit.attempt
+            job = self.jobs[index]
+            payload = job.to_dict()
+            if self.fault_plan is not None:
+                actions = self.fault_plan.actions_for(
+                    job.job_id, index, unit.attempt
+                )
+                unit.network_faults += [
+                    a.to_dict() for a in actions if a.is_network
+                ]
+                in_process = [
+                    a.to_dict() for a in actions if not a.is_network
+                ]
+                if in_process:
+                    payload = {**payload, "_fault": in_process}
+            unit.payloads.append(payload)
+        return unit
+
+    def settle(
+        self, indices: list[int], records: list[dict[str, Any]]
+    ) -> list[dict[str, Any]]:
+        """Land one record per job of ``indices``; returns the final ones.
+
+        Each job settles at the attempt it was last taken at.  A
+        transient-class failure on an attempt ``<= max_retries``
+        counts a retry and re-queues the job alone, ready after its
+        seeded backoff.  Otherwise the record is final: an error gains
+        ``error_class``, ``attempts`` and ``quarantined`` (true for a
+        transient class that ran out of retries); ok records are
+        journaled in their store form, all in one write, then cached.
+        A job settled while it waits out a backoff (a late result from
+        an earlier attempt) leaves the queue.
+        """
+        now = self.clock()
+        finals: list[dict[str, Any]] = []
+        ok: list[tuple[JobSpec, dict[str, Any]]] = []
+        for index, record in zip(indices, records):
+            if any(entry[1] == index for entry in self._backoff):
+                self._backoff = [e for e in self._backoff if e[1] != index]
+                heapq.heapify(self._backoff)
+            job = self.jobs[index]
+            attempt = self._attempts.get(index, 1)
+            if record.get("status") == "ok":
+                ok.append((job, record))
+            else:
+                error_class = record.get("error_class") or classify_error(
+                    record.get("error"), _kind_transients(job.kind)
+                )
+                if (
+                    error_class != "permanent"
+                    and attempt <= self.max_retries
+                ):
+                    self.retries += 1
+                    ready_at = now + backoff_seconds(
+                        self._seed, job.job_id, attempt
+                    )
+                    heapq.heappush(
+                        self._backoff, (ready_at, index, attempt + 1)
+                    )
+                    continue
+                record = {
+                    **record,
+                    "error_class": error_class,
+                    "attempts": attempt,
+                    "quarantined": error_class != "permanent",
+                }
+                if record["quarantined"]:
+                    self.quarantined.append(job.job_id)
+            self.records[index] = record
+            finals.append(record)
+        if ok and self.journal is not None:
+            self.journal.record_job(
+                [
+                    {**record, "cached": False, "campaign": self.name}
+                    for _, record in ok
+                ]
             )
-            if error_class != "permanent" and attempt <= self.max_retries:
-                self.retries += 1
-                return None
-            record = {
-                **record,
-                "error_class": error_class,
-                "attempts": attempt,
-                "quarantined": error_class != "permanent",
-            }
-            if record["quarantined"]:
-                self.quarantined.append(job.job_id)
-        self.records[index] = record
-        return record
+        if self.cache is not None:
+            for job, record in ok:
+                self.cache.put_job(job, record)
+        return finals
+
+    def fail(
+        self, indices: list[int], error: str, error_class: str
+    ) -> list[dict[str, Any]]:
+        """Settle a failure the engine observed for each job of
+        ``indices`` (a ``timeout``, ``worker_crash`` or
+        ``lease_expired`` no worker could report); ``error`` is a
+        ``"Type: message"`` string, completed with the attempt."""
+        if error_class == "timeout":
+            self.timeouts += len(indices)
+        elif error_class == "worker_crash":
+            self.worker_crashes += len(indices)
+        records = [
+            failure_record(
+                self.jobs[index].to_dict(),
+                self.jobs[index].job_id,
+                f"{error} (attempt {self._attempts[index]})",
+                error_class,
+            )
+            for index in indices
+        ]
+        return self.settle(indices, records)
 
     def finish(
         self, interrupted: bool, workers: int, extras: dict[str, Any]
@@ -663,6 +780,7 @@ class _Ledger:
                 "runner.timeouts": out.timeouts,
                 "runner.worker_crashes": out.worker_crashes,
                 "runner.quarantined": len(out.quarantined),
+                "runner.units": self.taken,
                 **extras,
             },
         )
@@ -674,15 +792,14 @@ class _Supervisor:
 
     Replaces ``multiprocessing.Pool``: a pool cannot kill a hung task,
     and a worker that hard-dies strands its AsyncResult forever.  The
-    supervisor forks at most ``min(workers, len(units))`` workers, on
-    first need, and hands each idle one the next execution unit.
-    Owning the processes lets it enforce wall-clock deadlines
-    (``job_timeout`` per job of the unit) with ``terminate``/``kill``,
-    observe crash exit codes directly, and keep scheduling while failed
-    attempts sit out their backoff.  A worker is replaced only when it
-    dies: killed past its deadline (a ``JobTimeout`` record for every
-    job of the unit) or gone without records (a ``WorkerCrash`` for
-    each); the next dispatch forks a fresh one.
+    supervisor forks at most ``limit`` workers, on first need, and
+    hands each idle one the ledger's next ready unit.  Owning the
+    processes lets it enforce wall-clock deadlines (``job_timeout``
+    per job of the unit) with ``terminate``/``kill`` and observe crash
+    exit codes directly.  A worker is replaced only when it dies:
+    killed past its deadline (a ``timeout`` failure for every job of
+    the unit) or gone without records (a ``worker_crash`` for each);
+    the next dispatch forks a fresh one.
     """
 
     def __init__(self, runner: "CampaignRunner", ledger: _Ledger) -> None:
@@ -690,81 +807,44 @@ class _Supervisor:
         self.ledger = ledger
         self.ctx = multiprocessing.get_context()
         self.idle: list[tuple[Any, Any]] = []  # (conn, proc)
-        self.dispatched = 0
 
     def run(
         self,
-        units: list[list[int]],
-        on_final: Callable[[dict[str, Any], int], None],
+        limit: int,
+        on_final: Callable[[list[dict[str, Any]], int], None],
     ) -> bool:
-        """Run every job to a final record; returns True if interrupted.
+        """Run every queued job to a final record; True if interrupted.
 
-        ``on_final(record, running)`` fires once per job as its
-        outcome settles, in completion order, with the number of jobs
-        still in flight.  A job that retries runs alone.  On
+        ``on_final(records, running)`` fires as outcomes settle, in
+        completion order, with the number of jobs still in flight.  On
         KeyboardInterrupt every worker, busy or idle, is killed and the
         unfinished jobs stay unsettled; a normal finish sends each idle
         worker the stop sentinel and joins it.
         """
-        runner = self.runner
-        jobs = self.ledger.jobs
-        limit = min(runner.workers, len(units))
-        pending: deque[_Unit] = deque(
-            _Unit(unit, [jobs[index].to_dict() for index in unit])
-            for unit in units
-        )
-        waiting: list[tuple[float, int, _Unit]] = []  # backoff heap
+        ledger = self.ledger
         running: dict[Any, tuple[_Unit, Any, float | None]] = {}
-        seq = 0
-
-        def settle(unit: _Unit, records: list[dict[str, Any]]) -> None:
-            nonlocal seq
-            in_flight = sum(len(u.indices) for u, _, _ in running.values())
-            for index, payload, record in zip(
-                unit.indices, unit.payloads, records
-            ):
-                final = self.ledger.settle(index, record, unit.attempt)
-                if final is not None:
-                    on_final(final, in_flight)
-                    continue
-                delay = backoff_seconds(
-                    runner.backoff_seed,
-                    jobs[index].job_id,
-                    unit.attempt,
-                    runner.backoff_base,
-                    runner.backoff_cap,
-                )
-                seq += 1
-                heapq.heappush(
-                    waiting,
-                    (
-                        time.monotonic() + delay,
-                        seq,
-                        _Unit([index], [payload], unit.attempt + 1),
-                    ),
-                )
-
         interrupted = False
         try:
-            while pending or waiting or running:
+            while running or ledger.pending:
+                while len(running) < limit and (unit := ledger.take()):
+                    self._dispatch(unit, running)
                 now = time.monotonic()
-                while waiting and waiting[0][0] <= now:
-                    pending.appendleft(heapq.heappop(waiting)[2])
-                while pending and len(running) < limit:
-                    self._dispatch(pending.popleft(), running)
+                marks = [
+                    d - now for _, _, d in running.values() if d is not None
+                ]
+                if len(running) < limit and ledger.pending:
+                    marks.append(ledger.ready_in())  # the next backoff
+                timeout = max(0.0, min(marks)) if marks else None
                 if not running:
-                    # Everything is sitting out a backoff window.
-                    time.sleep(
-                        max(0.0, waiting[0][0] - time.monotonic())
-                    )
+                    time.sleep(timeout)  # every job sits out a backoff
                     continue
-                ready = mp_connection.wait(
-                    list(running), self._next_wake(running, waiting)
-                )
-                for conn in ready:
+                finals: list[dict[str, Any]] = []
+                for conn in mp_connection.wait(list(running), timeout):
                     unit, proc, _ = running.pop(conn)
-                    settle(unit, self._collect(conn, proc, unit))
-                self._reap_timeouts(running, settle)
+                    finals += self._collect(conn, proc, unit)
+                finals += self._reap_timeouts(running)
+                in_flight = sum(len(u.indices) for u, _, _ in running.values())
+                on_final(finals, in_flight)
         except KeyboardInterrupt:
             interrupted = True
         finally:
@@ -783,34 +863,14 @@ class _Supervisor:
         return conn, proc
 
     def _dispatch(self, unit: _Unit, running: dict) -> None:
-        payloads = list(unit.payloads)
-        plan: FaultPlan | None = self.runner.fault_plan
-        if plan is not None:
-            # Network faults belong to the service socket layer; an
-            # in-process worker has no socket to fault, so only the
-            # in-worker kinds ride the payload.
-            for i, index in enumerate(unit.indices):
-                actions = [
-                    a
-                    for a in plan.actions_for(
-                        self.ledger.jobs[index].job_id, index, unit.attempt
-                    )
-                    if not a.is_network
-                ]
-                if actions:
-                    payloads[i] = {
-                        **payloads[i],
-                        "_fault": [a.to_dict() for a in actions],
-                    }
         while True:
             conn, proc = self.idle.pop() if self.idle else self._start()
             try:
-                conn.send(payloads)
+                conn.send(unit.payloads)
                 break
             except OSError:  # died while idle: no attempt was lost
                 self._kill(proc)
                 conn.close()
-        self.dispatched += 1
         deadline = (
             None
             if self.runner.job_timeout is None
@@ -822,26 +882,6 @@ class _Supervisor:
         """A unit's wall-clock budget: ``job_timeout`` per job."""
         return self.runner.job_timeout * len(unit.indices)
 
-    def _failures(
-        self, unit: _Unit, error: str, error_class: str
-    ) -> list[dict[str, Any]]:
-        """One engine-observed failure record per job of the unit."""
-        return [
-            failure_record(
-                payload, self.ledger.jobs[index].job_id, error, error_class
-            )
-            for index, payload in zip(unit.indices, unit.payloads)
-        ]
-
-    @staticmethod
-    def _next_wake(running: dict, waiting: list) -> float | None:
-        marks = [d for _, _, d in running.values() if d is not None]
-        if waiting:
-            marks.append(waiting[0][0])
-        if not marks:
-            return None
-        return max(0.0, min(marks) - time.monotonic())
-
     def _collect(self, conn, proc, unit: _Unit) -> list[dict[str, Any]]:
         try:
             records = conn.recv()
@@ -849,38 +889,35 @@ class _Supervisor:
             records = None
         if isinstance(records, list):
             self.idle.append((conn, proc))
-            return records
+            return self.ledger.settle(unit.indices, records)
         conn.close()
         proc.join(timeout=5.0)
-        self.ledger.worker_crashes += len(unit.indices)
-        return self._failures(
-            unit,
+        return self.ledger.fail(
+            unit.indices,
             f"WorkerCrash: worker exited with code {proc.exitcode} "
-            f"before returning a result (attempt {unit.attempt})",
+            f"before returning a result",
             "worker_crash",
         )
 
-    def _reap_timeouts(self, running: dict, settle) -> None:
+    def _reap_timeouts(self, running: dict) -> list[dict[str, Any]]:
         now = time.monotonic()
         expired = [
             conn
             for conn, (_, _, deadline) in running.items()
             if deadline is not None and now >= deadline
         ]
+        finals: list[dict[str, Any]] = []
         for conn in expired:
             unit, proc, _ = running.pop(conn)
             self._kill(proc)
             conn.close()
-            self.ledger.timeouts += len(unit.indices)
-            settle(
-                unit,
-                self._failures(
-                    unit,
-                    f"JobTimeout: exceeded the {self._budget(unit):g}s "
-                    f"wall-clock budget (attempt {unit.attempt})",
-                    "timeout",
-                ),
+            finals += self.ledger.fail(
+                unit.indices,
+                f"JobTimeout: exceeded the {self._budget(unit):g}s "
+                f"wall-clock budget",
+                "timeout",
             )
+        return finals
 
     def _shutdown(self, running: dict, interrupted: bool) -> None:
         """Kill busy workers; stop idle ones (killed if interrupted)."""
@@ -917,10 +954,8 @@ class CampaignRunner:
         job_timeout: per-attempt wall-clock budget in seconds; None
             disables (requires the supervised path to enforce).
         max_retries: transient-failure retries per job (0 = fail on
-            first error, the historical behaviour).
-        backoff_base / backoff_cap / backoff_seed: seeded exponential
-            backoff shape (see :func:`~repro.experiments.faults.
-            backoff_seconds`).
+            first error, the historical behaviour); each waits a
+            backoff seeded by the spec's seed (0 for a job list).
         fault_plan: deterministic fault injection for chaos testing.
         journal: campaign journal for crash-safe resume, or None.
     """
@@ -932,9 +967,6 @@ class CampaignRunner:
         workers: int = 1,
         job_timeout: float | None = None,
         max_retries: int = 0,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        backoff_seed: int = 0,
         fault_plan: FaultPlan | None = None,
         journal: CampaignJournal | None = None,
     ) -> None:
@@ -949,9 +981,6 @@ class CampaignRunner:
         self.workers = workers
         self.job_timeout = job_timeout
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.backoff_seed = backoff_seed
         self.fault_plan = fault_plan
         self.journal = journal
 
@@ -1002,40 +1031,38 @@ class CampaignRunner:
             jobs = list(sweep)
         ledger = _Ledger(
             name, jobs, self.cache, self.store, self.journal,
-            self.max_retries,
+            self.max_retries, self.fault_plan,
         )
-        todo = ledger.open(spec)
-        n_fresh = len(todo)
+        units = ledger.open(spec)
+        n_fresh = ledger.pending
         n_served = len(ledger.records)
         done = failed = 0
 
-        def on_final(record: dict[str, Any], running: int) -> None:
+        def on_final(records: list[dict[str, Any]], running: int) -> None:
             nonlocal done, failed
-            done += 1
-            if record.get("status") == "error":
-                failed += 1
-            if telemetry is None:
-                return
-            elapsed = time.perf_counter() - ledger.started
-            telemetry(
-                {
-                    "job_id": record.get("job_id"),
-                    "status": record.get("status"),
-                    "done": done,
-                    "total": n_fresh,
-                    "cached": n_served,
-                    "failed": failed,
-                    "running": running,
-                    "elapsed_seconds": elapsed,
-                    "eta_seconds": (
-                        elapsed / done * (n_fresh - done) if done else None
-                    ),
-                }
-            )
+            for record in records:
+                done += 1
+                if record.get("status") == "error":
+                    failed += 1
+                if telemetry is None:
+                    continue
+                elapsed = time.perf_counter() - ledger.started
+                telemetry(
+                    {
+                        "job_id": record.get("job_id"),
+                        "status": record.get("status"),
+                        "done": done,
+                        "total": n_fresh,
+                        "cached": n_served,
+                        "failed": failed,
+                        "running": running,
+                        "elapsed_seconds": elapsed,
+                        "eta_seconds": elapsed / done * (n_fresh - done),
+                    }
+                )
 
-        units = ledger.units(todo, self.fault_plan)
+        limit = min(self.workers, len(units))
         interrupted = False
-        dispatched = 0
         if units:
             supervised = (
                 self.workers > 1
@@ -1043,20 +1070,11 @@ class CampaignRunner:
                 or self.fault_plan is not None
             )
             if supervised:
-                supervisor = _Supervisor(self, ledger)
-                interrupted = supervisor.run(units, on_final)
-                dispatched = supervisor.dispatched
+                interrupted = _Supervisor(self, ledger).run(limit, on_final)
             else:
-                interrupted, dispatched = self._execute_inline(
-                    ledger, units, on_final
-                )
+                interrupted = self._execute_inline(ledger, on_final)
         out = ledger.finish(
-            interrupted,
-            self.workers,
-            {
-                "runner.workers.peak": min(self.workers, len(units)),
-                "runner.units": dispatched,
-            },
+            interrupted, self.workers, {"runner.workers.peak": limit}
         )
         if progress is not None:
             for record in out.records:
@@ -1069,46 +1087,29 @@ class CampaignRunner:
     def _execute_inline(
         self,
         ledger: _Ledger,
-        units: list[list[int]],
-        on_final: Callable[[dict[str, Any], int], None],
-    ) -> tuple[bool, int]:
+        on_final: Callable[[list[dict[str, Any]], int], None],
+    ) -> bool:
         """Single-process path: no subprocesses, so no kill/hang
-        defence — but the same units and settle policy, a retry
-        running alone.  Returns (interrupted, units dispatched).
+        defence; sleeps while every queued unit waits out a backoff.
+        Returns True if interrupted.
 
         Suspends any active registry around in-process execution: the
         runner's single post-run aggregation is the one publication
         path, matching supervised workers (whose processes never
         publish into the parent's registry).
         """
-        dispatched = 0
         try:
             with metrics_suspended():
-                for unit in units:
-                    payloads = [ledger.jobs[index].to_dict() for index in unit]
-                    dispatched += 1
-                    records = execute_unit(payloads)
-                    for index, payload, record in zip(unit, payloads, records):
-                        attempt = 1
-                        while (
-                            final := ledger.settle(index, record, attempt)
-                        ) is None:
-                            time.sleep(
-                                backoff_seconds(
-                                    self.backoff_seed,
-                                    ledger.jobs[index].job_id,
-                                    attempt,
-                                    self.backoff_base,
-                                    self.backoff_cap,
-                                )
-                            )
-                            attempt += 1
-                            dispatched += 1
-                            record = execute_job(payload)
-                        on_final(final, 0)
+                while (delay := ledger.ready_in()) is not None:
+                    unit = ledger.take()
+                    if unit is None:
+                        time.sleep(delay)
+                        continue
+                    records = execute_unit(unit.payloads)
+                    on_final(ledger.settle(unit.indices, records), 0)
         except KeyboardInterrupt:
-            return True, dispatched
-        return False, dispatched
+            return True
+        return False
 
 
 def _progress_line(record: dict[str, Any]) -> str:

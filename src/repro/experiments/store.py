@@ -178,8 +178,9 @@ class CampaignJournal:
     * ``start`` — campaign id, name, the expanded spec dict, and the
       store path, written once when the journal is created.  Resume
       rebuilds the whole sweep from this entry alone.
-    * ``job`` — one completed (status ``ok``) record, appended the
-      moment the job finalises.  ``completed()`` is the resume set.
+    * ``job`` — one completed (status ``ok``) record, appended with
+      the rest of its unit's the moment the unit settles.
+      ``completed()`` is the resume set.
     * ``resume`` / ``checkpoint`` / ``end`` — lifecycle markers;
       ``checkpoint`` (written on SIGINT) and ``end`` carry the
       structured failure report and done/remaining counts.
@@ -204,10 +205,13 @@ class CampaignJournal:
     def exists(self) -> bool:
         return self.path.is_file() and self.path.stat().st_size > 0
 
-    def append(self, entry: dict[str, Any]) -> None:
+    def append(self, *entries: dict[str, Any]) -> None:
+        """Append entries, one line each, in one write and one fsync."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            fh.write(
+                "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries)
+            )
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -285,8 +289,9 @@ class CampaignJournal:
                 return entry
         return None
 
-    def record_job(self, record: dict[str, Any]) -> None:
-        self.append({"event": "job", "record": record})
+    def record_job(self, records: list[dict[str, Any]]) -> None:
+        """Journal completed jobs' records in one durable write."""
+        self.append(*({"event": "job", "record": r} for r in records))
 
     def completed(self) -> dict[str, dict[str, Any]]:
         """job_id -> record for every journaled-complete (ok) job."""

@@ -244,18 +244,6 @@ class NoCStats:
         return percentile(self.packet_latencies, p)
 
     @property
-    def p50_latency(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p95_latency(self) -> float:
-        return self.latency_percentile(95.0)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99.0)
-
-    @property
     def transitions_per_flit_hop(self) -> float:
         if self.flit_hops == 0:
             return 0.0

@@ -35,8 +35,8 @@ The sweep job server (:class:`repro.service.SweepServer`) publishes
 the ``service`` family once per served campaign:
 ``service.leases.granted`` / ``service.leases.renewed`` /
 ``service.leases.expired`` count the lease lifecycle,
-``service.jobs.stolen`` counts expired leases re-granted to a
-different worker (the dead-worker-recovery path),
+``service.jobs.stolen`` counts jobs of expired leases re-granted to
+a different worker (the dead-worker-recovery path),
 ``service.heartbeats.missed`` counts expiries whose holder had gone
 silent for two beat intervals, and ``service.heartbeats`` /
 ``service.reconnects`` / ``service.results.duplicate`` /

@@ -21,8 +21,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.bits.popcount import popcount
-
 __all__ = [
     "FlitAssignment",
     "interleaved_assignment",
@@ -115,8 +113,3 @@ def exhaustive_best_assignment(counts: Sequence[int]) -> FlitAssignment:
     if best is None:
         raise ValueError("no counts supplied")
     return best
-
-
-def counts_of(words: Sequence[int]) -> list[int]:
-    """Popcounts of a word sequence (convenience for callers)."""
-    return [popcount(int(w)) for w in words]

@@ -18,17 +18,18 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = ["Lease", "LeaseTable"]
 
 
 @dataclass(frozen=True)
 class Lease:
-    """One worker's time-bounded hold on one job.
+    """One worker's time-bounded hold on a unit of jobs.
 
     Attributes:
-        job_id: the leased job.
+        job_id: the lease's key (the unit's first job).
+        jobs: every job the lease covers, the key included.
         worker: holder's worker name.
         attempt: 1-based dispatch attempt this lease covers.
         granted_at: clock reading at grant time.
@@ -38,6 +39,7 @@ class Lease:
     """
 
     job_id: str
+    jobs: tuple[str, ...]
     worker: str
     attempt: int
     granted_at: float
@@ -57,10 +59,10 @@ class LeaseTable:
         granted / renewed / expired / stolen / heartbeats_missed:
             lifetime counters.  A *steal* is a grant of a job whose
             previous lease expired under a different worker — the
-            dead-worker-recovery path.  A *missed heartbeat* is an
-            expiry whose holder had been silent for at least two
-            heartbeat intervals (vs. one that simply ran past its
-            deadline while still beating).
+            dead-worker-recovery path; it counts jobs, not leases.  A
+            *missed heartbeat* is an expiry whose holder had been
+            silent for at least two heartbeat intervals (vs. one that
+            simply ran past its deadline while still beating).
     """
 
     def __init__(
@@ -94,12 +96,23 @@ class LeaseTable:
     def __len__(self) -> int:
         return len(self._leases)
 
-    def grant(self, job_id: str, worker: str, attempt: int) -> Lease:
-        """Lease ``job_id`` to ``worker`` until the deadline."""
+    def grant(
+        self,
+        job_id: str,
+        worker: str,
+        attempt: int,
+        jobs: Sequence[str] = (),
+    ) -> Lease:
+        """Lease ``job_id`` to ``worker`` until the deadline.
+
+        ``jobs`` lists every job of the leased unit (default: just
+        ``job_id``), so a steal counts each of them.
+        """
         now = self._clock()
         with self._lock:
             lease = Lease(
                 job_id=job_id,
+                jobs=tuple(jobs) or (job_id,),
                 worker=worker,
                 attempt=attempt,
                 granted_at=now,
@@ -108,9 +121,10 @@ class LeaseTable:
             )
             self._leases[job_id] = lease
             self.granted += 1
-            previous = self._expired_holders.pop(job_id, None)
-            if previous is not None and previous != worker:
-                self.stolen += 1
+            for job in lease.jobs:
+                previous = self._expired_holders.pop(job, None)
+                if previous is not None and previous != worker:
+                    self.stolen += 1
             return lease
 
     def renew(self, job_id: str, worker: str) -> bool:
@@ -139,11 +153,6 @@ class LeaseTable:
         with self._lock:
             return self._leases.pop(job_id, None)
 
-    def holder(self, job_id: str) -> str | None:
-        with self._lock:
-            lease = self._leases.get(job_id)
-            return None if lease is None else lease.worker
-
     def expire(self, now: float | None = None) -> list[Lease]:
         """Pop and return every lease past its deadline."""
         if now is None:
@@ -154,7 +163,8 @@ class LeaseTable:
                 if lease.deadline > now:
                     continue
                 del self._leases[job_id]
-                self._expired_holders[job_id] = lease.worker
+                for job in lease.jobs:
+                    self._expired_holders[job] = lease.worker
                 self.expired += 1
                 if (
                     now - lease.last_heartbeat
@@ -163,13 +173,6 @@ class LeaseTable:
                     self.heartbeats_missed += 1
                 out.append(lease)
         return out
-
-    def next_deadline(self) -> float | None:
-        """Earliest outstanding deadline, or None when idle."""
-        with self._lock:
-            if not self._leases:
-                return None
-            return min(l.deadline for l in self._leases.values())
 
     def counters(self) -> dict[str, int]:
         """The ``service.*`` metric names this table owns."""

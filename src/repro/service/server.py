@@ -5,20 +5,23 @@ over the :mod:`repro.service.protocol` socket and pull execution
 units under time-bounded leases.  It executes nothing itself, and it
 keeps no campaign books of its own: the runner's ledger
 (:mod:`repro.experiments.runner`) triages the cache and journal,
-splits the jobs to run into units, settles every result with the same
-retry/quarantine policy as the in-process engines, and assembles the
-final :class:`~repro.experiments.runner.CampaignResult`.  What is left
-here is transport:
+queues the jobs to run as units, schedules every retry after the same
+seeded backoff as the in-process engines, splits the fault plan,
+settles every result with one retry/quarantine policy, and assembles
+the final :class:`~repro.experiments.runner.CampaignResult`.  What is
+left here is transport:
 
-* grant units — jobs that share a timing signature, which the worker
-  runs as one simulation (cache hits and journal-resumed jobs are
-  never queued); one lease covers the whole unit,
+* grant the ledger's next ready unit — jobs that share a timing
+  signature, which the worker runs as one simulation (cache hits and
+  journal-resumed jobs are never queued); one lease covers the whole
+  unit.  With nothing ready, a ``wait`` reply says how long until a
+  retry's backoff ends (at most half a lease, and at most 1 s),
 * renew leases on heartbeats,
-* turn a lapsed lease (dead or stalled worker) into one
-  ``lease_expired`` failure per unsettled job of the unit for the
-  runner's settle, which re-queues each job alone at the back — "work
-  stealing" from the claimant's perspective — or quarantines it once
-  its retries are spent,
+* turn a lapsed lease (dead or stalled worker) into a
+  ``lease_expired`` failure for each unsettled job of the unit, which
+  the ledger re-queues alone after its backoff — "work stealing" from
+  the claimant's perspective — or quarantines once its retries are
+  spent,
 * reconcile results per job, idempotently: the first completion of a
   job wins; jobs of a late unit result from a presumed-dead worker
   are acknowledged as duplicates and discarded, which is safe because
@@ -32,10 +35,10 @@ Served records carry no worker identity, no attempt counts (for ok
 records), and no timing, so they match an inline run of the same spec
 — the chaos determinism gate relies on it.
 
-Fault injection: the server consults its
-:class:`~repro.experiments.faults.FaultPlan` at grant time.  Jobs the
-plan names are units of one.  In-process actions ride the job payload
-into the worker as usual; *network* actions (connection drop,
+Fault injection: the ledger consults the
+:class:`~repro.experiments.faults.FaultPlan` as it hands out a unit.
+Jobs the plan names are units of one.  In-process actions ride the job
+payload into the worker as usual; *network* actions (connection drop,
 heartbeat stall, torn frame, duplicate result) are shipped alongside
 the grant for the worker to fire through the real socket path.
 
@@ -47,16 +50,14 @@ campaign state.  All threads are daemonic — lifecycle is owned by
 
 from __future__ import annotations
 
-import contextlib
 import socket
 import threading
 import time
-from collections import deque
 from typing import Any
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.faults import FaultPlan
-from repro.experiments.runner import CampaignResult, _Ledger, failure_record
+from repro.experiments.runner import CampaignResult, _Ledger
 from repro.experiments.spec import SweepSpec, campaign_id
 from repro.experiments.store import CampaignJournal, ResultStore
 from repro.service.leases import LeaseTable
@@ -85,8 +86,9 @@ class SweepServer:
 
     ``max_retries`` bounds the transient-failure re-queues per job
     (lease expiries included) before quarantine.  A unit's lease is
-    keyed by its first job's id, so ``service.jobs.stolen`` counts a
-    stolen unit once.
+    keyed by its first job's id and covers every job of the unit, so
+    ``service.jobs.stolen`` counts each stolen job once, whether it
+    is re-granted alone or not.
     """
 
     def __init__(
@@ -110,7 +112,6 @@ class SweepServer:
         self.campaign_id = campaign_id(spec)
         self.host = host
         self.port = port
-        self.fault_plan = fault_plan
         self.leases = LeaseTable(lease_seconds, heartbeat_seconds)
         self.lease_seconds = self.leases.lease_seconds
         self.heartbeat_seconds = self.leases.heartbeat_seconds
@@ -118,17 +119,15 @@ class SweepServer:
 
         self._jobs = spec.expand()
         self._ledger = _Ledger(
-            self.name, self._jobs, cache, store, journal, max_retries
+            self.name, self._jobs, cache, store, journal, max_retries,
+            fault_plan,
         )
-        self._payloads = [job.to_dict() for job in self._jobs]
         self._index_by_job = {
             job.job_id: index for index, job in enumerate(self._jobs)
         }
         self._lock = threading.RLock()
-        self._pending: deque[list[int]] = deque()
         # Lease key -> the grid indices of its unit with no result yet.
         self._leased: dict[str, list[int]] = {}
-        self._attempts: dict[str, int] = {}
         self._workers_seen: set[str] = set()
         self._reconnects = 0
         self._duplicates = 0
@@ -149,8 +148,7 @@ class SweepServer:
         campaign than this spec derives — resuming would silently mix
         results otherwise.
         """
-        todo = self._ledger.open(self.spec)
-        self._pending.extend(self._ledger.units(todo, self.fault_plan))
+        self._ledger.open(self.spec)
 
         self._sock = socket.create_server((self.host, self.port))
         self.host, self.port = self._sock.getsockname()[:2]
@@ -278,28 +276,13 @@ class SweepServer:
         # lapsing and its jobs' failures settling.
         with self._lock:
             for lease in self.leases.expire():
-                for index in self._leased.pop(lease.job_id):
-                    record = failure_record(
-                        self._payloads[index],
-                        self._jobs[index].job_id,
-                        f"LeaseExpired: worker {lease.worker!r} stopped "
-                        f"heartbeating and its lease lapsed "
-                        f"(attempt {lease.attempt})",
-                        "lease_expired",
-                    )
-                    self._settle(index, record, lease.attempt)
+                self._ledger.fail(
+                    self._leased.pop(lease.job_id),
+                    f"LeaseExpired: worker {lease.worker!r} stopped "
+                    f"heartbeating and its lease lapsed",
+                    "lease_expired",
+                )
         self._maybe_finish()
-
-    def _settle(
-        self, index: int, record: dict[str, Any], attempt: int
-    ) -> None:
-        """Land a result through the runner's policy; called under lock.
-
-        A retry goes alone to the back of the queue: clean units drain
-        first, the repeat offender re-runs when a worker frees up.
-        """
-        if self._ledger.settle(index, record, attempt) is None:
-            self._pending.append([index])
 
     # -- message dispatch ------------------------------------------------
 
@@ -379,43 +362,28 @@ class SweepServer:
                         reply["records"] = result.records
                         reply["summary"] = result.summary()
                 return reply
-            if not self._pending:
-                return {
-                    "type": "wait",
-                    "seconds": min(
-                        1.0, max(0.05, self.lease_seconds / 2.0)
-                    ),
-                }
-            unit = self._pending.popleft()
-            job_ids = [self._jobs[index].job_id for index in unit]
-            # Retries run alone, so a unit's jobs share their attempt.
-            attempt = self._attempts.get(job_ids[0], 0) + 1
-            for job_id in job_ids:
-                self._attempts[job_id] = attempt
+            unit = self._ledger.take()
+            if unit is None:
+                seconds = min(1.0, max(0.05, self.lease_seconds / 2.0))
+                ready_in = self._ledger.ready_in()
+                if ready_in is not None:
+                    seconds = min(seconds, ready_in)
+                return {"type": "wait", "seconds": seconds}
+            job_ids = [self._jobs[index].job_id for index in unit.indices]
             key = job_ids[0]
-            self._leased[key] = list(unit)
-            lease = self.leases.grant(key, worker, attempt)
-        jobs: list[dict[str, Any]] = []
-        network_faults: list[dict[str, Any]] = []
-        for index, job_id in zip(unit, job_ids):
-            payload = self._payloads[index]
-            if self.fault_plan is not None:
-                actions = self.fault_plan.actions_for(job_id, index, attempt)
-                network_faults += [
-                    a.to_dict() for a in actions if a.is_network
-                ]
-                in_process = [
-                    a.to_dict() for a in actions if not a.is_network
-                ]
-                if in_process:
-                    payload = {**payload, "_fault": in_process}
-            jobs.append({"index": index, "job_id": job_id, "payload": payload})
+            self._leased[key] = list(unit.indices)
+            lease = self.leases.grant(key, worker, unit.attempt, job_ids)
         return {
             "type": "unit",
             "unit": key,
-            "attempt": attempt,
-            "jobs": jobs,
-            "network_faults": network_faults,
+            "attempt": unit.attempt,
+            "jobs": [
+                {"index": index, "job_id": job_id, "payload": payload}
+                for index, job_id, payload in zip(
+                    unit.indices, job_ids, unit.payloads
+                )
+            ],
+            "network_faults": unit.network_faults,
             "lease_seconds": self.lease_seconds,
             "deadline_seconds": lease.deadline - lease.granted_at,
         }
@@ -427,6 +395,7 @@ class SweepServer:
             records = []
         malformed = 0 if records else 1
         duplicates = 0
+        fresh: dict[int, dict[str, Any]] = {}
         with self._lock:
             for record in records:
                 job_id = str(
@@ -436,19 +405,18 @@ class SweepServer:
                 if index is None:
                     malformed += 1
                     continue
-                if index in self._ledger.records:
+                if index in self._ledger.records or index in fresh:
                     # Late result from a presumed-dead worker for a job
                     # someone else already finished: idempotent discard.
                     duplicates += 1
                     continue
                 # First completion wins, even if the lease expired and
-                # the job is pending (or re-leased) elsewhere: execution
+                # the job is queued (or re-leased) elsewhere: execution
                 # is deterministic, so any re-run would produce this
                 # record.
                 self._release_job(index)
-                with contextlib.suppress(ValueError):
-                    self._pending.remove([index])
-                self._settle(index, record, self._attempts.get(job_id, 1))
+                fresh[index] = record
+            self._ledger.settle(list(fresh), list(fresh.values()))
             self._duplicates += duplicates
         self._maybe_finish()
         reply: dict[str, Any] = {
@@ -478,7 +446,7 @@ class SweepServer:
                 "campaign_id": self.campaign_id,
                 "total": len(self._jobs),
                 "done": len(self._ledger.records),
-                "pending": sum(len(unit) for unit in self._pending),
+                "pending": self._ledger.pending,
                 "leased": len(self.leases),
                 "workers": sorted(self._workers_seen),
                 "finished": self._finished,
@@ -501,7 +469,6 @@ class SweepServer:
             max(1, seen),
             {
                 "runner.workers.peak": seen,
-                "runner.units": self.leases.granted,
                 **self.leases.counters(),
                 "service.heartbeats": self.leases.renewed,
                 "service.reconnects": self._reconnects,

@@ -27,7 +27,7 @@ suffixes so per-tenant report rows stay distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any
 
 __all__ = [
@@ -313,9 +313,6 @@ class ServingConfig:
             if tenant.batch_window is not None
             else self.batch_window
         )
-
-    def with_tenants(self, tenants: tuple[TenantSpec, ...]) -> "ServingConfig":
-        return replace(self, tenants=tenants)
 
     # -- serialization ---------------------------------------------------
 

@@ -187,7 +187,7 @@ class TestTriage:
         monkeypatch.setattr(kind, "execute", violate)
         monkeypatch.setattr(kind, "execute_group", violate)
         result = CampaignRunner(
-            workers=1, max_retries=2, backoff_base=0.001
+            workers=1, max_retries=2
         ).run(small_spec())
         assert result.retries == 0
         assert result.errors == len(result.records) == 4
@@ -216,7 +216,7 @@ class TestSupervisedFaults:
              2: [FaultAction("transient")]}
         )
         runner = CampaignRunner(
-            workers=2, max_retries=2, backoff_base=0.01, fault_plan=plan
+            workers=2, max_retries=2, fault_plan=plan
         )
         result = runner.run(small_spec())
         assert result.errors == 0
@@ -244,7 +244,7 @@ class TestSupervisedFaults:
     def test_kill_then_clean_retry_succeeds(self):
         plan = FaultPlan({1: [FaultAction("kill", attempt=1)]})
         runner = CampaignRunner(
-            workers=2, max_retries=1, backoff_base=0.01, fault_plan=plan
+            workers=2, max_retries=1, fault_plan=plan
         )
         result = runner.run(small_spec())
         assert result.errors == 0
@@ -257,7 +257,6 @@ class TestSupervisedFaults:
             workers=2,
             job_timeout=2.0,
             max_retries=1,
-            backoff_base=0.01,
             fault_plan=plan,
         )
         result = runner.run(small_spec())
@@ -307,7 +306,6 @@ class TestSupervisedFaults:
             workers=2,
             job_timeout=3.0,
             max_retries=2,
-            backoff_base=0.01,
             fault_plan=plan,
         )
         result = runner.run(small_spec())
@@ -335,7 +333,6 @@ class TestJournalResume:
         first = CampaignRunner(
             workers=2,
             max_retries=1,
-            backoff_base=0.01,
             fault_plan=plan,
             journal=journal,
         ).run(spec)
@@ -373,7 +370,7 @@ class TestJournalResume:
         assert not journal.exists()
         journal.start("c-1234", "c", {"name": "c"}, "store.jsonl")
         journal.record_job(
-            {"job_id": "abc", "status": "ok", "result": {}}
+            [{"job_id": "abc", "status": "ok", "result": {}}]
         )
         tear_file_tail(journal.path)
         assert journal.recover() > 0
@@ -389,7 +386,7 @@ class TestJournalResume:
         with journal.path.open("a") as fh:
             fh.write("{broken json\n")
         journal.record_job(
-            {"job_id": "ok1", "status": "ok", "result": {}}
+            [{"job_id": "ok1", "status": "ok", "result": {}}]
         )
         assert list(journal.completed()) == ["ok1"]
         assert journal.corrupt_skipped == 1
@@ -546,7 +543,7 @@ class TestInlineRetries:
                 ),
             )
             runner = CampaignRunner(
-                workers=1, max_retries=2, backoff_base=0.01
+                workers=1, max_retries=2
             )
             result = runner.run([job])
             assert result.errors == 0

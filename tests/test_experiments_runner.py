@@ -13,7 +13,7 @@ import pytest
 from repro.accelerator.config import AcceleratorConfig
 from repro.experiments.cache import ResultCache
 from repro.experiments.kinds import JOB_KINDS, JobKind, register_job_kind
-from repro.experiments.faults import FaultAction, FaultPlan
+from repro.experiments.faults import FaultAction, FaultPlan, backoff_seconds
 from repro.experiments.runner import (
     CampaignRunner,
     _Ledger,
@@ -21,7 +21,7 @@ from repro.experiments.runner import (
     failure_record,
 )
 from repro.experiments.spec import JobSpec, SweepSpec
-from repro.experiments.store import ResultStore
+from repro.experiments.store import CampaignJournal, ResultStore
 from repro.obs.metrics import active_registry, metrics_session
 
 
@@ -389,19 +389,50 @@ SETTLE_CASES = {
 }
 
 
+class FakeClock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def open_ledger(jobs, max_retries=0, fault_plan=None, journal=None):
+    """A cache-free ledger on a fake clock, its units queued."""
+    ledger = _Ledger("t", jobs, None, None, journal, max_retries, fault_plan)
+    ledger.clock = FakeClock()
+    ledger.open(None)
+    return ledger
+
+
+def ok(job: JobSpec) -> dict:
+    return {"job_id": job.job_id, "status": "ok"}
+
+
 class TestSettlePolicy:
     """The one retry/classify/quarantine policy every engine shares."""
 
     @staticmethod
     def ledger(max_retries: int) -> _Ledger:
-        return _Ledger(
-            "t", small_spec().expand(), None, None, None, max_retries
-        )
+        return open_ledger(small_spec().expand()[:1], max_retries)
+
+    @staticmethod
+    def take_at(ledger: _Ledger, attempt: int):
+        """Take job 0 at ``attempt``, failing the attempts before it."""
+        unit = ledger.take()
+        while unit.attempt < attempt:
+            job = ledger.jobs[0]
+            ledger.settle([0], [error_record(job, "TransientFaultError: x")])
+            ledger.clock.now += 10.0  # past any backoff
+            unit = ledger.take()
+        assert unit.indices == [0]
+        return unit
 
     def test_ok_record_passes_through_unchanged(self):
         ledger = self.ledger(max_retries=2)
-        record = {"job_id": ledger.jobs[0].job_id, "status": "ok"}
-        assert ledger.settle(0, dict(record), attempt=1) == record
+        record = ok(ledger.jobs[0])
+        unit = self.take_at(ledger, 1)
+        assert ledger.settle(unit.indices, [dict(record)]) == [record]
         assert ledger.records == {0: record}
         assert (ledger.retries, ledger.quarantined) == (0, [])
 
@@ -415,21 +446,23 @@ class TestSettlePolicy:
     ):
         ledger = self.ledger(max_retries)
         job = ledger.jobs[0]
+        unit = self.take_at(ledger, attempt)
+        retries = ledger.retries
         record = error_record(job, error, error_class)
-        settled = ledger.settle(0, record, attempt)
+        settled = ledger.settle(unit.indices, [record])
         if final is None:
-            assert settled is None
-            assert ledger.retries == 1
+            assert settled == []
+            assert ledger.retries == retries + 1
             assert ledger.records == {}
             return
-        assert ledger.retries == 0
-        assert settled == {
+        assert ledger.retries == retries
+        assert settled == [{
             **record,
             "error_class": final[0],
             "attempts": attempt,
             "quarantined": final[1],
-        }
-        assert ledger.records == {0: settled}
+        }]
+        assert ledger.records == {0: settled[0]}
         assert ledger.quarantined == ([job.job_id] if final[1] else [])
 
 
@@ -452,7 +485,7 @@ class TestEngineParity:
         )
         spec = small_spec()
         local = CampaignRunner(
-            workers=2, max_retries=1, backoff_base=0.01, fault_plan=plan
+            workers=2, max_retries=1, fault_plan=plan
         ).run(spec)
         server = SweepServer(spec, max_retries=1, fault_plan=plan)
         server.start()
@@ -554,7 +587,7 @@ class TestExecutionUnits:
         ]
         # A job the plan names on any attempt runs alone.
         plan = FaultPlan({3: [FaultAction("transient", attempt=2)]})
-        assert ledger.units(todo, plan) == [
+        assert _Ledger("t", jobs, None, None, None, 0, plan).units(todo) == [
             [0, 1, 2, 4, 5, 12], [3], list(range(6, 12)), [13]
         ]
         assert ledger.units([7, 1, 8]) == [[7, 8], [1]]
@@ -568,7 +601,7 @@ class TestExecutionUnits:
         plan = FaultPlan({1: [FaultAction("transient", attempt=1)]})
         spec = coding_spec()
         result = CampaignRunner(
-            workers=2, max_retries=1, backoff_base=0.01, fault_plan=plan
+            workers=2, max_retries=1, fault_plan=plan
         ).run(spec)
         # [1] alone, its retry alone, [0, 2..5] and [6..11] grouped.
         assert result.metrics["runner.units"] == 4
@@ -578,13 +611,11 @@ class TestExecutionUnits:
     def test_inline_retry_runs_alone(self, monkeypatch):
         import repro.experiments.runner as runner_module
 
-        units: list[int] = []
-        singles: list[str] = []
+        units: list[list[str]] = []
         execute_unit = runner_module.execute_unit
-        execute_job_ = runner_module.execute_job
 
         def flaky_unit(payloads):
-            units.append(len(payloads))
+            units.append([JobSpec.from_dict(p).job_id for p in payloads])
             records = execute_unit(payloads)
             if len(units) == 1:  # the first unit fails transiently
                 records = [
@@ -593,21 +624,123 @@ class TestExecutionUnits:
                 ]
             return records
 
-        def spy_job(payload):
-            singles.append(JobSpec.from_dict(payload).job_id)
-            return execute_job_(payload)
-
         monkeypatch.setattr(runner_module, "execute_unit", flaky_unit)
-        monkeypatch.setattr(runner_module, "execute_job", spy_job)
         spec = coding_spec()
-        result = CampaignRunner(
-            workers=1, max_retries=1, backoff_base=0.001
-        ).run(spec)
-        assert units == [6, 6]
-        assert singles == [job.job_id for job in spec.expand()[:6]]
+        result = CampaignRunner(workers=1, max_retries=1).run(spec)
+        # The second unit runs while the first one's jobs back off;
+        # then each of them retries alone.
+        assert [len(unit) for unit in units] == [6, 6, 1, 1, 1, 1, 1, 1]
+        assert sorted(sum(units[2:], [])) == sorted(units[0])
         assert result.metrics["runner.units"] == 8
         assert result.retries == 6 and result.errors == 0
         assert engine_free(result.records) == records_alone(spec)
+
+
+class TestLedgerQueue:
+    """The one unit queue every engine takes from, on a fake clock."""
+
+    def test_retry_comes_back_alone_after_its_backoff(self):
+        spec = coding_spec()
+        jobs = spec.expand()[:6]
+        ledger = open_ledger(jobs, max_retries=1)
+        unit = ledger.take()
+        assert (unit.indices, unit.attempt) == (list(range(6)), 1)
+        records = [ok(job) for job in jobs]
+        records[2] = error_record(jobs[2], "TransientFaultError: x")
+        assert len(ledger.settle(unit.indices, records)) == 5
+        delay = backoff_seconds(spec.seed, jobs[2].job_id, 1)
+        assert ledger.pending == 1
+        assert ledger.ready_in() == pytest.approx(delay)
+        ledger.clock.now = delay * 0.99
+        assert ledger.take() is None
+        ledger.clock.now = delay
+        retry = ledger.take()
+        assert (retry.indices, retry.attempt) == ([2], 2)
+        assert ledger.pending == 0 and ledger.ready_in() is None
+
+    def test_late_result_takes_the_job_off_the_queue(self):
+        jobs = coding_spec().expand()[:1]
+        ledger = open_ledger(jobs, max_retries=2)
+        unit = ledger.take()
+        ledger.fail(unit.indices, "LeaseExpired: gone", "lease_expired")
+        assert ledger.pending == 1
+        # The presumed-dead worker's result lands after all.
+        assert ledger.settle([0], [ok(jobs[0])]) == [ok(jobs[0])]
+        assert ledger.pending == 0 and ledger.ready_in() is None
+        ledger.clock.now += 10.0
+        assert ledger.take() is None
+        assert ledger.retries == 1 and ledger.records == {0: ok(jobs[0])}
+
+    def test_every_take_counts_toward_runner_units(self):
+        jobs = small_spec().expand()
+        ledger = open_ledger(jobs, max_retries=1)
+        first, second = ledger.take(), ledger.take()
+        assert ledger.take() is None
+        ledger.settle(first.indices, [ok(jobs[i]) for i in first.indices])
+        ledger.fail(second.indices, "WorkerCrash: exit 87", "worker_crash")
+        assert ledger.worker_crashes == 2
+        ledger.clock.now += 10.0
+        retries = [ledger.take(), ledger.take()]
+        assert [u.attempt for u in retries] == [2, 2]
+        assert sorted(u.indices[0] for u in retries) == second.indices
+        for retry in retries:
+            ledger.settle(retry.indices, [ok(jobs[retry.indices[0]])])
+        assert ledger.taken == 4
+        assert ledger.finish(False, 1, {}).metrics["runner.units"] == 4
+
+    def test_engine_failures_name_their_attempt_and_count(self):
+        jobs = small_spec().expand()[:1]
+        ledger = open_ledger(jobs)
+        unit = ledger.take()
+        (final,) = ledger.fail(unit.indices, "JobTimeout: slow", "timeout")
+        assert final["error"] == "JobTimeout: slow (attempt 1)"
+        assert (final["error_class"], final["quarantined"]) == (
+            "timeout", True,
+        )
+        assert ledger.timeouts == 1 and ledger.quarantined == [
+            jobs[0].job_id
+        ]
+
+    def test_fault_plan_splits_into_payload_and_network_faults(self):
+        jobs = small_spec().expand()
+        transient = FaultAction("transient", attempt=1)
+        drop = FaultAction("drop_connection", attempt=1)
+        later = FaultAction("torn_frame", attempt=2)
+        plan = FaultPlan({0: [transient, drop, later]})
+        ledger = open_ledger(jobs, fault_plan=plan)
+        named = ledger.take()
+        assert named.indices == [0]
+        assert named.payloads == [
+            {**jobs[0].to_dict(), "_fault": [transient.to_dict()]}
+        ]
+        assert named.network_faults == [drop.to_dict()]
+        clean = ledger.take()
+        assert clean.indices == [1]
+        assert clean.payloads == [jobs[1].to_dict()]
+        assert clean.network_faults == []
+
+    def test_unit_journals_its_ok_records_in_one_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = coding_spec().expand()[:6]
+        journal = CampaignJournal(tmp_path / "j.journal")
+        ledger = open_ledger(jobs, journal=journal)
+        unit = ledger.take()
+        assert len(unit.indices) == 6
+        synced: list[int] = []
+        fsync = os.fsync
+
+        def spy(fd):
+            synced.append(fd)
+            return fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        finals = ledger.settle(unit.indices, [ok(job) for job in jobs])
+        assert len(finals) == 6
+        assert len(synced) == 1
+        assert sorted(journal.completed()) == sorted(
+            job.job_id for job in jobs
+        )
 
 
 def spy_on_starts(monkeypatch) -> list:
@@ -663,7 +796,7 @@ class TestPersistentWorkers:
         plan = FaultPlan({0: [FaultAction("kill", attempt=1)]})
         started = spy_on_starts(monkeypatch)
         result = CampaignRunner(
-            workers=2, max_retries=1, backoff_base=0.01, fault_plan=plan
+            workers=2, max_retries=1, fault_plan=plan
         ).run(small_spec())
         assert result.worker_crashes == 1 and result.errors == 0
         assert len(started) == 3

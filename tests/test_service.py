@@ -22,11 +22,12 @@ import time
 import pytest
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.faults import FaultAction, FaultPlan
+from repro.experiments.faults import FaultAction, FaultPlan, backoff_seconds
 from repro.experiments.runner import (
     SpecDriftError,
     execute_job,
     execute_unit,
+    failure_record,
 )
 from repro.experiments.spec import campaign_id
 from repro.experiments.store import CampaignJournal, ResultStore
@@ -43,7 +44,7 @@ from test_experiments_faults import (
     small_spec,
     stripped,
 )
-from test_experiments_runner import spy_on_cache
+from test_experiments_runner import FakeClock, spy_on_cache
 
 
 def tiny_spec(**overrides):
@@ -462,6 +463,33 @@ class TestProtocolSession:
             server.close()
 
 
+    def test_reported_transient_error_waits_out_its_backoff(self):
+        spec = tiny_spec()
+        server = serve(spec, max_retries=1)
+        clock = server._ledger.clock = FakeClock()
+        try:
+            channel = hello(server, "w")
+            grant = claim(channel, "w")
+            (job,) = grant["jobs"]
+            error = failure_record(
+                job["payload"], job["job_id"], "TransientFaultError: x"
+            )
+            assert submit(channel, "w", grant, [error])["accepted"] is True
+            delay = backoff_seconds(spec.seed, job["job_id"], 1)
+            # Not re-granted before its backoff; the wait says when.
+            clock.now = delay / 2
+            told = claim(channel, "w")
+            assert told["type"] == "wait"
+            assert told["seconds"] == pytest.approx(delay / 2)
+            clock.now = delay
+            retry = claim(channel, "w")
+            assert (retry["type"], retry["attempt"]) == ("unit", 2)
+            assert retry["jobs"] == grant["jobs"]
+            channel.close()
+        finally:
+            server.close()
+
+
 def steal_all(channel, worker, n, timeout=10.0):
     """Claim until ``n`` grants arrive (the lapsed lease re-queues)."""
     grants = []
@@ -519,13 +547,16 @@ class TestLeaseRecovery:
             grant1 = claim(w1, "w1")
             assert [job["index"] for job in grant1["jobs"]] == [0, 1]
 
-            # Each job comes back alone at attempt 2; w2 steals both
-            # and really runs them.
+            # Each job comes back alone at attempt 2, in backoff
+            # order; w2 steals both and really runs them.
             w2 = hello(server, "w2")
             grants = steal_all(w2, "w2", 2)
             assert [g["attempt"] for g in grants] == [2, 2]
             assert [len(g["jobs"]) for g in grants] == [1, 1]
-            assert [g["jobs"][0] for g in grants] == grant1["jobs"]
+            stolen = sorted(
+                (g["jobs"][0] for g in grants), key=lambda job: job["index"]
+            )
+            assert stolen == grant1["jobs"]
             for grant in grants:
                 ack = submit(w2, "w2", grant, run_grant(grant))
                 assert ack == {
@@ -552,8 +583,8 @@ class TestLeaseRecovery:
         assert result.metrics["service.leases.expired"] == 1
         assert result.metrics["service.leases.granted"] == 3
         assert result.metrics["runner.units"] == 3
-        # A unit's lease is keyed by its first job: one steal.
-        assert result.metrics["service.jobs.stolen"] == 1
+        # Steals count jobs: both jobs of the lapsed unit.
+        assert result.metrics["service.jobs.stolen"] == 2
 
     def test_heartbeats_keep_a_slow_job_alive(self):
         server = serve(pair_spec(), lease_seconds=0.4)

@@ -40,7 +40,10 @@ class TestGrant:
         assert lease.deadline == clock.now + 30.0
         assert lease.last_heartbeat == clock.now
         assert (table.granted, len(table)) == (1, 1)
-        assert table.holder("j1") == "w1"
+        assert lease.jobs == ("j1",)
+        # Only the holder may renew.
+        assert table.renew("j1", "w2") is False
+        assert table.renew("j1", "w1") is True
 
     def test_default_heartbeat_is_a_third_of_lease(self):
         assert LeaseTable(30.0).heartbeat_seconds == 10.0
@@ -121,7 +124,19 @@ class TestStealAndRelease:
         table.expire()
         table.grant("j1", "w2", 2)
         assert table.stolen == 1
-        assert table.holder("j1") == "w2"
+        assert table.renew("j1", "w1") is False
+        assert table.renew("j1", "w2") is True
+
+    def test_lapsed_unit_regranted_as_singles_counts_each_job(
+        self, table, clock
+    ):
+        table.grant("j1", "w1", 1, ["j1", "j2"])
+        clock.advance(31.0)
+        (lapsed,) = table.expire()
+        assert lapsed.jobs == ("j1", "j2")
+        table.grant("j1", "w2", 2)
+        table.grant("j2", "w2", 2)
+        assert table.stolen == 2
 
     def test_regrant_to_same_worker_is_not_a_steal(self, table, clock):
         table.grant("j1", "w1", 1)
@@ -145,13 +160,6 @@ class TestStealAndRelease:
 
 
 class TestBookkeeping:
-    def test_next_deadline(self, table, clock):
-        assert table.next_deadline() is None
-        table.grant("j1", "w1", 1)
-        clock.advance(5.0)
-        table.grant("j2", "w2", 1)
-        assert table.next_deadline() == 30.0  # j1's, the earlier one
-
     def test_counters_snapshot(self, table, clock):
         table.grant("j1", "w1", 1)
         table.renew("j1", "w1")
