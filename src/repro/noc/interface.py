@@ -15,14 +15,10 @@ built on first use: most NIs of a large mesh never send or receive.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Sequence
 
 from repro.noc.flit import Flit, Packet
-from repro.noc.routing import Port
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.noc.router import Router
+from repro.noc.router import Router, accept_arrivals
 
 __all__ = ["NetworkInterface"]
 
@@ -30,20 +26,28 @@ PacketSink = Callable[[Packet, int], None]
 
 
 class NetworkInterface:
-    """Injection/ejection endpoint attached to one router."""
+    """Injection/ejection endpoint attached to router ``node_id``.
+
+    ``routers`` is the network's router list: injected flits enter the
+    local input VCs through :func:`~repro.noc.router.accept_arrivals`,
+    which indexes it by node id.
+    """
 
     def __init__(
         self,
         node_id: int,
-        router: "Router",
+        routers: Sequence[Router],
         flits_per_cycle: int = 1,
     ) -> None:
         if flits_per_cycle <= 0:
             raise ValueError("flits_per_cycle must be positive")
         self.node_id = node_id
-        self.router = router
+        self.router = routers[node_id]
+        self._routers = routers
         self.flits_per_cycle = flits_per_cycle
         self.tx_queue: deque[Packet] | None = None
+        #: True while packets or flits still await injection.
+        self.has_pending_tx = False
         self.sink: PacketSink | None = None
         self._current: Packet | None = None
         self._next_flit = 0
@@ -66,11 +70,7 @@ class NetworkInterface:
         if self.tx_queue is None:
             self.tx_queue = deque()
         self.tx_queue.append(packet)
-
-    @property
-    def has_pending_tx(self) -> bool:
-        """True while packets or flits still await injection."""
-        return self._current is not None or bool(self.tx_queue)
+        self.has_pending_tx = True
 
     def try_inject(self, cycle: int) -> list[Flit]:
         """Inject up to ``flits_per_cycle`` flits; returns those injected.
@@ -80,8 +80,10 @@ class NetworkInterface:
         sole path that can clear that flag.
         """
         injected: list[Flit] = []
-        router = self.router
         budget = self.flits_per_cycle
+        # Free slots of the current VC, read once per packet per cycle:
+        # only this loop fills a local VC within a cycle.
+        space = None
         while len(injected) < budget:
             current = self._current
             if current is None:
@@ -94,14 +96,21 @@ class NetworkInterface:
                 current.created_cycle = cycle
                 self._next_flit = 0
                 self._tx_vc = vc
-            if router.local_vc_space(self._tx_vc) <= 0:
+                space = None
+            if space is None:
+                space = self.router.local_vc_space(self._tx_vc)
+            if space <= 0:
                 break
             flit = current.flits[self._next_flit]
-            router.accept_flit(Port.LOCAL, self._tx_vc, flit)
+            # The LOCAL port's flat slots are its VC indices.
+            arrival = (self.node_id, self._tx_vc, flit)
+            accept_arrivals(self._routers, (arrival,))
+            space -= 1
             injected.append(flit)
             self._next_flit += 1
             if self._next_flit == len(current.flits):
                 self._current = None
+                self.has_pending_tx = bool(self.tx_queue)
         return injected
 
     def _pick_vc(self) -> int | None:

@@ -41,36 +41,43 @@ Two cycle-loop implementations ("cores") produce bit-identical results:
   for due flits every cycle.  It exists as the oracle for the
   equivalence suite (``tests/test_noc_eventcore.py``).
 
-Both cores share the routers, the NIs, and :meth:`Network.transmit`
-(per-hop logging through per-(router, outport) hop-list handles that
-are resolved once, not per hop).
+Both cores share the routers, the NIs, the one hop body
+(:meth:`Router._traverse <repro.noc.router.Router._traverse>`) and the
+one accept body (:func:`repro.noc.router.accept_arrivals`).  A hop
+logs itself through its router's bound hop handle and returns its
+credit through a bound credit handle, both resolved here once per port
+(:meth:`Network._bind_hop_handle`, :meth:`Network._bind_credit_handle`),
+not per hop.  Hops reach the delivery lists — ejections, the
+same-cycle arrival list at a link latency of 1 (either core), else the
+event core's heap or the stepped core's list — and ``stats.flit_hops``
+counts them in bulk as those lists commit.
 
-Construction builds no per-node containers.  The neighbour table, the
-hop-list handles and the upstream credit handles are flat lists
-indexed ``node * len(Port) + port``; the table holds ints or ``None``,
-the handles start as ``None`` and bind on a link's first flit or
-credit, and routers and NIs build their own state on first use (see
-:mod:`repro.noc.router`).  An
-idle node thus costs its router and NI object only, which keeps the
-live object graph — what every full cyclic-GC pass walks — in
-proportion to the traffic, not to the mesh.
+Construction builds no per-node containers.  The neighbour table is a
+flat list of ints or ``None`` indexed ``node * len(Port) + port``;
+routers and NIs build their own state, hop and credit handles included,
+on first use (see :mod:`repro.noc.router`).  An idle node thus costs
+its router and NI object only, which keeps the live object graph —
+what every full cyclic-GC pass walks — in proportion to the traffic,
+not to the mesh.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from heapq import heappop, heappush
+from heapq import heappop
+from operator import itemgetter
 from typing import Any, Sequence
 
 from repro.noc.flit import Flit, Packet
 from repro.noc.interface import NetworkInterface
 from repro.noc.recorder import HopLog, LinkHops, score_hops
-from repro.noc.router import FlowControlError, Router
+from repro.noc.router import FlowControlError, Router, accept_arrivals
 from repro.noc.routing import OPPOSITE, Port, routing_by_name
 
 _LOCAL = Port.LOCAL
 _N_PORTS = len(Port)
+_arrival_node = itemgetter(0)
 
 __all__ = [
     "NoCConfig",
@@ -288,7 +295,7 @@ class Network:
         self.nis = [
             NetworkInterface(
                 node_id=node,
-                router=self.routers[node],
+                routers=self.routers,
                 flits_per_cycle=config.injection_rate,
             )
             for node in range(config.n_nodes)
@@ -312,59 +319,47 @@ class Network:
         self.heap_pops = 0
         self.queue_commits = 0
         self._in_flight: dict[int, Packet] = {}
-        # Arrivals are (due, seq, node, in_port, vc_idx, flit) tuples in
-        # both cores; the event core keeps them heap-ordered, the
-        # stepped core scans the plain list every cycle.  The monotonic
-        # seq preserves the list's commit order for equal due cycles.
-        self._arrivals: list[tuple[int, int, int, Port, int, Flit]] = []
+        # Multi-cycle-link arrivals are (due, seq, (node, flat, flit))
+        # entries in both cores; the event core keeps them heap-ordered,
+        # the stepped core scans the plain list every cycle.  The
+        # monotonic seq preserves the list's commit order for equal due
+        # cycles.
+        self._arrivals: list[tuple[int, int, tuple[int, int, Flit]]] = []
         self._arrival_seq = itertools.count()
-        # Event-core shortcut for the (default) one-cycle links: every
-        # arrival queued during a step commits at the end of that same
-        # step, so a plain append-ordered list replaces the heap and
-        # its per-hop push/pop entirely.
+        # One-cycle links (the default): every arrival queued during a
+        # step commits at the end of that same step, so a plain
+        # append-ordered list of (node, flat, flit) replaces the heap.
         self._same_cycle_arrivals: list[tuple[int, int, Flit]] = []
         self._ejections: list[tuple[int, Flit]] = []
         self._credits: list[tuple[list[int], int, int, int]] = []
         # Event-core activity tracking (unused by the stepped core).
         self._active_routers: set[int] = set()
         self._pending_nis: set[int] = set()
-        # Per-hop fast paths: config scalars hoisted out of transmit(),
-        # a neighbour table and lazily bound per-link hop-list handles,
-        # both flat and indexed by node * len(Port) + port value, so the
-        # hot path never formats a link name or hashes into the log's
-        # dict.  Handles are bound on first traversal (not precreated)
-        # so the log keeps containing exactly the links that carried
-        # traffic.
+        # What the hop body and the handle binders read: config scalars
+        # and the flat neighbour table indexed node * len(Port) + port.
         self._record_ejection = config.record_ejection
         self._record_injection = config.record_injection
         self._link_latency = config.link_latency
-        n_links = config.n_nodes * _N_PORTS
         self._neighbor_of = _flat_neighbors(config.width, config.height)
-        self._link_hops: list[LinkHops | None] = [None] * n_links
         self._inject_hops: list[LinkHops | None] = [None] * config.n_nodes
         self._opposite_of: list[Port | None] = [
             OPPOSITE.get(port) for port in Port
         ]
         # Arrival slot base per outgoing port: the receiving router's
-        # flat slot index is base + out_vc (event-core arrival tuples
-        # carry flat indices, not (Port, vc) pairs).
+        # flat slot index is base + out_vc.
         self._opposite_flat_base: list[int] = [
             0 if opp is None else opp.value * config.n_vcs
             for opp in self._opposite_of
         ]
-        # Per (node, in-port) handle on the upstream router's credit
-        # counters for the opposite outport, resolved on that port's
-        # first credit: the credit return path then touches no
-        # router/dict lookups per hop.
-        self._upstream_credits: list[list[int] | None] = [None] * n_links
 
     # -- traffic interface ---------------------------------------------
 
     def send_packet(self, packet: Packet) -> None:
         """Queue a packet at its source NI for injection."""
-        if not 0 <= packet.src < self.config.n_nodes:
+        n_nodes = len(self.routers)
+        if not 0 <= packet.src < n_nodes:
             raise ValueError(f"source node {packet.src} outside the mesh")
-        if not 0 <= packet.dst < self.config.n_nodes:
+        if not 0 <= packet.dst < n_nodes:
             raise ValueError(f"destination node {packet.dst} outside the mesh")
         for flit in packet.flits:
             if flit.width != self.config.link_width:
@@ -387,93 +382,45 @@ class Network:
         """Set the packet-delivery callback of a node's NI."""
         self.nis[node].sink = sink
 
-    # -- router-facing hooks ---------------------------------------------
+    # -- handle binding (the hop body's first use of a port) ----------
 
-    def transmit(
-        self, router: Router, out_port: Port, out_vc: int, flit: Flit
-    ) -> None:
-        """Carry one flit over ``router``'s ``out_port`` link."""
-        node = router.node_id
-        # Port is an IntEnum: indexing lists with it directly avoids
-        # the enum .value descriptor on the per-hop path.
-        local = out_port is _LOCAL
-        link = node * _N_PORTS + out_port
-        if not local or self._record_ejection:
-            hops = self._link_hops[link]
-            if hops is None:
-                hops = self.hops.link(f"R{node}.{out_port.name}")
-                self._link_hops[link] = hops
-            hops.flits.append(flit)
-            hops.cycles.append(self.cycle)
-            hops.vcs.append(out_vc)
-        self.stats.flit_hops += 1
-        if local:
-            self._ejections.append((node, flit))
-            return
-        neighbor = self._neighbor_of[link]
-        if neighbor is None:
+    def _bind_hop_handle(self, node: int, out_port: Port) -> tuple:
+        """The hop handle of ``node``'s ``out_port``.
+
+        ``(flits, cycles, vcs, downstream node, downstream slot base)``:
+        the link's hop-log lists (``None`` on an unrecorded ejection
+        link), created here so the log holds exactly the links that
+        carried traffic, in order of their first hop.
+        """
+        neighbor = self._neighbor_of[node * _N_PORTS + out_port]
+        if out_port is not _LOCAL and neighbor is None:
+            raise ValueError(f"router {node} has no {out_port.name} link")
+        base = self._opposite_flat_base[out_port]
+        if out_port is _LOCAL and not self._record_ejection:
+            return (None, None, None, neighbor, base)
+        hops = self.hops.link(f"R{node}.{out_port.name}")
+        return (hops.flits, hops.cycles, hops.vcs, neighbor, base)
+
+    def _bind_credit_handle(self, node: int, in_port: Port) -> list[int]:
+        """The upstream credit counters fed by ``node``'s ``in_port``."""
+        upstream = self._neighbor_of[node * _N_PORTS + in_port]
+        if upstream is None:
             raise ValueError(
-                f"router {node} has no {out_port.name} link"
+                f"router {node} has no upstream on {Port(in_port).name}"
             )
-        if self.event_core:
-            flat = self._opposite_flat_base[out_port] + out_vc
-            if self._link_latency == 1:
-                self._same_cycle_arrivals.append((neighbor, flat, flit))
-                return
-            self.heap_pushes += 1
-            heappush(
-                self._arrivals,
-                (
-                    self.cycle + self._link_latency - 1,
-                    next(self._arrival_seq),
-                    neighbor,
-                    flat,
-                    flit,
-                ),
-            )
-            return
-        self._arrivals.append(
-            (
-                self.cycle + self._link_latency - 1,
-                next(self._arrival_seq),
-                neighbor,
-                self._opposite_of[out_port.value],
-                out_vc,
-                flit,
-            )
-        )
-
-    def queue_credit(self, router: Router, in_port: Port, vc_idx: int) -> None:
-        """Return a buffer credit to the upstream router."""
-        self._queue_credit(router.node_id, in_port.value, vc_idx)
-
-    def _queue_credit(self, node: int, port_idx: int, vc_idx: int) -> None:
-        """:meth:`queue_credit` by node id and port value."""
-        link = node * _N_PORTS + port_idx
-        credit_list = self._upstream_credits[link]
-        if credit_list is None:
-            upstream = self._neighbor_of[link]
-            if upstream is None:
-                raise ValueError(
-                    f"router {node} has no upstream on {Port(port_idx).name}"
-                )
-            credit_list = self.routers[upstream].credits[
-                self._opposite_of[port_idx]
-            ]
-            self._upstream_credits[link] = credit_list
-        self._credits.append((credit_list, vc_idx, node, port_idx))
+        return self.routers[upstream].credits[self._opposite_of[in_port]]
 
     # -- cycle loop --------------------------------------------------------
 
     def step(self) -> None:
-        """Advance the network by one cycle."""
-        if self.event_core:
-            self._step_event()
-        else:
-            self._step_reference()
+        """Advance the network by one cycle.
 
-    def _step_event(self) -> None:
-        """One cycle of the event core: touch only what is active."""
+        The event core's cycle runs here and touches only what is
+        active; the stepped core's is :meth:`_step_reference`.
+        """
+        if not self.event_core:
+            self._step_reference()
+            return
         cycle = self.cycle
         routers = self.routers
         active = self._active_routers
@@ -494,25 +441,30 @@ class Network:
                         self._record_injected(node, injected)
                 if not ni.has_pending_tx:
                     self._pending_nis.discard(node)
+        stats = self.stats
         same_cycle = self._same_cycle_arrivals
         if same_cycle:
-            self.queue_commits += len(same_cycle)
-            for node, flat, flit in same_cycle:
-                routers[node]._accept_flat(flat, flit)
-                active.add(node)
+            n_arrivals = len(same_cycle)
+            self.queue_commits += n_arrivals
+            stats.flit_hops += n_arrivals
+            accept_arrivals(routers, same_cycle)
+            active.update(map(_arrival_node, same_cycle))
             same_cycle.clear()
         arrivals = self._arrivals
-        while arrivals and arrivals[0][0] <= cycle:
-            _, _, node, flat, flit = heappop(arrivals)
-            self.heap_pops += 1
-            routers[node]._accept_flat(flat, flit)
-            active.add(node)
+        if arrivals and arrivals[0][0] <= cycle:
+            due = []
+            while arrivals and arrivals[0][0] <= cycle:
+                due.append(heappop(arrivals)[2])
+            self.heap_pops += len(due)
+            stats.flit_hops += len(due)
+            accept_arrivals(routers, due)
+            active.update(map(_arrival_node, due))
         if self._ejections:
             self._commit_ejections(cycle)
         if self._credits:
             self._commit_credits()
         self.cycle = cycle + 1
-        self.stats.cycles = self.cycle
+        stats.cycles = self.cycle
         self.steps_executed += 1
 
     def _step_reference(self) -> None:
@@ -527,14 +479,19 @@ class Network:
                 injected = ni.try_inject(self.cycle)
                 if self._record_injection and injected:
                     self._record_injected(ni.node_id, injected)
-        still_in_flight: list[tuple[int, int, int, Port, int, Flit]] = []
+        # Due multi-cycle arrivals commit through the one-cycle list
+        # (a network fills at most one of the two).
+        due = self._same_cycle_arrivals
+        still_in_flight = []
         for arrival in self._arrivals:
             if arrival[0] <= self.cycle:
-                _, _, node, in_port, vc_idx, flit = arrival
-                self.routers[node].accept_flit(in_port, vc_idx, flit)
+                due.append(arrival[2])
             else:
                 still_in_flight.append(arrival)
         self._arrivals[:] = still_in_flight
+        self.stats.flit_hops += len(due)
+        accept_arrivals(self.routers, due)
+        due.clear()
         self._commit_ejections(self.cycle)
         if self._credits:
             self._commit_credits()
@@ -556,6 +513,7 @@ class Network:
     def _commit_ejections(self, cycle: int) -> None:
         """Deliver ejected flits to their NIs; complete tail packets."""
         stats = self.stats
+        stats.flit_hops += len(self._ejections)
         for node, flit in self._ejections:
             packet = None
             if flit.is_tail:

@@ -16,27 +16,40 @@ later.  The allocation state (``out_port`` / ``out_vc``) always refers
 to the packet at the head of a VC FIFO, which makes back-to-back
 packets in one buffer safe.
 
-Two equivalent implementations of the per-cycle phases exist:
+Two equivalent allocation front ends exist:
 
 * :meth:`Router.allocate` + :meth:`Router.switch_traversal` — the
   reference pair, which scans every input VC.  The stepped network
   core and the unit tests use these.
 * :meth:`Router.allocate_and_traverse` — the event-core fast path,
   which visits only the tracked occupied / allocation-pending VCs and
-  arbitrates without building flag vectors.  Bit-identical outcomes
-  are enforced by ``tests/test_noc_eventcore.py``.
+  arbitrates without building flag vectors.  A router with one
+  occupied VC takes its streaming branch, which routes the lone head
+  flit, grants its VC and wins the switch inline, leaving the arbiters'
+  rotation state exactly as a one-requester arbitration would.
+  Bit-identical outcomes are enforced by ``tests/test_noc_eventcore.py``.
 
-Both paths share :meth:`accept_flit` / :meth:`_traverse`, which keep
-the occupancy tracking consistent, so a router works under either
-network core at any time.
+Every front end moves flits through the one hop body,
+:meth:`Router._traverse`: it pops the flit and spends a credit, logs
+the hop through the outport's bound hop handle (the link's
+:class:`~repro.noc.recorder.LinkHops` lists, the downstream node and
+its flat slot base), queues the freed buffer's credit through the
+inport's bound credit handle (the upstream router's counter list) and
+hands the flit to the network's delivery list.  Handles bind on a
+port's first use and hold only ints and lists, never a router, so
+routers never reference each other and a drained network is freed by
+reference counting alone.  Every arrival and injection enters a buffer
+through the one accept body, :func:`accept_arrivals`, which takes a
+whole commit batch per call.
 
 State is built on first use, because mesh-scaling campaigns construct
 thousands of routers of which most never buffer a flit, and every
 container a router holds is one more object for each full cyclic-GC
 pass to walk.  A fresh router owns no containers at all.  Its first
 flit builds the flat slot table (all ``None``), the credit counters,
-the downstream holder table and the occupancy sets — a router always
-has sent a flit before a credit comes back to it.  A slot's
+the downstream holder table, the occupancy sets and the (unbound)
+handle tables — a router always has sent a flit before a credit comes
+back to it.  A slot's
 :class:`VCState` and FIFO are built on that slot's first flit, and the
 VC and switch arbiters of an outport on its first grant.  The
 :attr:`Router.inputs` view used by the reference pair and the tests
@@ -45,7 +58,10 @@ fills every slot, so it keeps its full 5 x ``n_vcs`` shape.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
+from collections.abc import Iterable, Sequence
+from heapq import heappush
 from typing import TYPE_CHECKING
 
 from repro.noc.arbiter import RoundRobinArbiter
@@ -55,25 +71,20 @@ from repro.noc.routing import Port, RouteFn
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.noc.network import Network
 
-__all__ = ["VCState", "Router", "FlowControlError"]
+__all__ = ["VCState", "Router", "FlowControlError", "accept_arrivals"]
 
 _LOCAL = Port.LOCAL
 _N_PORTS = len(Port)
 
-# Flat-slot decode tables shared by every router with the same VC
-# count: slot index -> (port, vc).
-_SLOT_TABLES: dict[int, tuple[list[Port], list[int]]] = {}
 
-
+@functools.cache
 def _slot_tables(n_vcs: int) -> tuple[list[Port], list[int]]:
-    tables = _SLOT_TABLES.get(n_vcs)
-    if tables is None:
-        tables = (
-            [port for port in Port for _ in range(n_vcs)],
-            [vc for _ in Port for vc in range(n_vcs)],
-        )
-        _SLOT_TABLES[n_vcs] = tables
-    return tables
+    """Flat-slot decode tables shared by every router with the same VC
+    count: slot index -> (port, vc)."""
+    return (
+        [port for port in Port for _ in range(n_vcs)],
+        [vc for _ in Port for vc in range(n_vcs)],
+    )
 
 
 class FlowControlError(RuntimeError):
@@ -140,6 +151,15 @@ class Router:
         # Credit counters per output port (indexed by port value; LOCAL
         # has no credit loop); see the `credits` property.
         self._credits: list[list[int] | None] | None = None
+        # Bound handles of the hop body, indexed by port value and
+        # bound by the network on a port's first use: per outport the
+        # (hop flits, hop cycles, hop VCs, downstream node, downstream
+        # flat slot base) tuple, per non-LOCAL inport the upstream
+        # router's credit counter list for this link.
+        self._hop_handles: list[tuple | None] | None = None
+        self._credit_handles: list[list[int] | None] | None = None
+        # Event-core route memo: destination -> output port.
+        self._routes: dict[int, Port] | None = None
         self.buffered_flits = 0
         # Observability counters.  Plain ints bumped on paths both
         # cycle-loop cores share (or at behaviourally identical points
@@ -158,15 +178,30 @@ class Router:
         n_vcs = self.n_vcs
         slots: list[VCState | None] = [None] * (_N_PORTS * n_vcs)
         self._slots = slots
-        self._out_holder = [[None] * n_vcs for _ in range(_N_PORTS)]
+        # map(list, ...) copies each row without a comprehension frame.
+        self._out_holder = list(map(list, [[None] * n_vcs] * _N_PORTS))
         self._vc_arbiters = [None] * _N_PORTS
         self._sw_arbiters = [None] * _N_PORTS
         self._occupied = set()
         self._needs_alloc = set()
-        self._credits = [None] + [
-            [self.vc_depth] * n_vcs for _ in range(_N_PORTS - 1)
+        self._credits = [
+            None, *map(list, [[self.vc_depth] * n_vcs] * (_N_PORTS - 1))
         ]
+        self._hop_handles = [None] * _N_PORTS
+        self._credit_handles = [None] * _N_PORTS
+        self._routes = {}
         return slots
+
+    def _route(self, head: Flit) -> Port:
+        """Route the packet of ``head`` and memoise it by destination."""
+        if not head.is_head:
+            raise FlowControlError(
+                f"router {self.node_id}: body/tail flit of packet "
+                f"{head.packet_id} at VC head without a route"
+            )
+        out_port = self.route_fn(self.node_id, head.dst, self.mesh_width)
+        self._routes[head.dst] = out_port
+        return out_port
 
     def _arbiter(
         self, arbiters: list[RoundRobinArbiter | None], out_port: Port
@@ -331,54 +366,60 @@ class Router:
             (flat,) = occupied
             state = slots[flat]
             if needs:
-                # Phase 1 for the lone requester — identical to the
-                # general path with a single-entry request group.
-                head = state.fifo[0]
+                # Phase 1 for the lone requester, identical to the
+                # general path with a single-entry request group: it
+                # wins the first free downstream VC, and the outport's
+                # VC arbiter records it as the last winner.
                 out_port = state.out_port
                 if out_port is None:
-                    if not head.is_head:
-                        raise FlowControlError(
-                            f"router {self.node_id}: body/tail flit of "
-                            f"packet {head.packet_id} at VC head without "
-                            "a route"
-                        )
-                    out_port = self.route_fn(
-                        self.node_id, head.dst, self.mesh_width
-                    )
+                    head = state.fifo[0]
+                    if head.is_head:
+                        out_port = self._routes.get(head.dst)
+                    if out_port is None:
+                        out_port = self._route(head)
                     state.out_port = out_port
                 if out_port is _LOCAL:
                     state.out_vc = 0
-                    needs.discard(flat)
-                    self.vc_grants += 1
                 else:
-                    self._grant_vcs_fast(out_port, [flat])
+                    holders = self._out_holder[out_port]
+                    if None not in holders:
+                        return
+                    out_vc = holders.index(None)
+                    arbiter = self._vc_arbiters[out_port]
+                    if arbiter is None:
+                        arbiter = RoundRobinArbiter(_N_PORTS * self.n_vcs)
+                        self._vc_arbiters[out_port] = arbiter
+                    arbiter._last_winner = flat
+                    state.out_vc = out_vc
+                    holders[out_vc] = (slot_port[flat], self._slot_vc[flat])
+                needs.clear()
+                self.vc_grants += 1
             out_vc = state.out_vc
             if out_vc is None:
                 return
             out_port = state.out_port
-            if out_port is None:
-                return
             if out_port is not _LOCAL and self._credits[out_port][out_vc] <= 0:
                 return
-            # State update identical to pick_indices([flat]).
-            self._arbiter(self._sw_arbiters, out_port)._last_winner = flat
+            # The lone requester wins the switch, as pick_indices([flat]).
+            arbiter = self._sw_arbiters[out_port]
+            if arbiter is None:
+                arbiter = RoundRobinArbiter(_N_PORTS * self.n_vcs)
+                self._sw_arbiters[out_port] = arbiter
+            arbiter._last_winner = flat
             self._traverse(network, flat, out_port)
             return
         if needs:
             requests: dict[Port, list[int]] = {}
+            routes = self._routes
             for flat in sorted(needs):
                 state = slots[flat]
-                head = state.fifo[0]
                 out_port = state.out_port
                 if out_port is None:
-                    if not head.is_head:
-                        raise FlowControlError(
-                            f"router {self.node_id}: body/tail flit of packet "
-                            f"{head.packet_id} at VC head without a route"
-                        )
-                    out_port = self.route_fn(
-                        self.node_id, head.dst, self.mesh_width
-                    )
+                    head = state.fifo[0]
+                    if head.is_head:
+                        out_port = routes.get(head.dst)
+                    if out_port is None:
+                        out_port = self._route(head)
                     state.out_port = out_port
                 requests.setdefault(out_port, []).append(flat)
             for out_port, reqs in requests.items():
@@ -409,17 +450,27 @@ class Router:
                 sendable.setdefault(out_port, []).append(flat)
         if sendable is None:
             return
+        sw_arbiters = self._sw_arbiters
         consumed: set[Port] | None = None
         for out_port, reqs in sendable.items():
             if consumed:
-                reqs = [f for f in reqs if slot_port[f] not in consumed]
-                if not reqs:
-                    continue
-            if len(reqs) > 1:
+                if len(reqs) == 1:
+                    if slot_port[reqs[0]] in consumed:
+                        continue
+                else:
+                    reqs = [f for f in reqs if slot_port[f] not in consumed]
+                    if not reqs:
+                        continue
+            arbiter = sw_arbiters[out_port]
+            if arbiter is None:
+                arbiter = RoundRobinArbiter(_N_PORTS * self.n_vcs)
+                sw_arbiters[out_port] = arbiter
+            if len(reqs) == 1:
+                # A lone requester wins, as pick_indices(reqs) would.
+                winner = arbiter._last_winner = reqs[0]
+            else:
                 self.arb_conflicts += len(reqs) - 1
-            winner = self._arbiter(self._sw_arbiters, out_port).pick_indices(
-                reqs
-            )
+                winner = arbiter.pick_indices(reqs)
             self._traverse(network, winner, out_port)
             in_port = slot_port[winner]
             if consumed is None:
@@ -430,15 +481,16 @@ class Router:
     def _grant_vcs_fast(self, out_port: Port, reqs: list[int]) -> None:
         """:meth:`_grant_vcs` over requester indices, no flag vector."""
         holders = self._out_holder[out_port]
-        free = [v for v in range(self.n_vcs) if holders[v] is None]
-        if not free:
+        if None not in holders:
             return
         arbiter = self._arbiter(self._vc_arbiters, out_port)
         needs = self._needs_alloc
         slots = self._slots
-        for out_vc in free:
+        for out_vc in range(self.n_vcs):
             if not reqs:
                 break
+            if holders[out_vc] is not None:
+                continue
             winner = arbiter.pick_indices(reqs)
             reqs.remove(winner)
             state = slots[winner]
@@ -453,7 +505,15 @@ class Router:
     def _traverse(
         self, network: "Network", flat: int, out_port: Port
     ) -> None:
-        """Move the winning flit of slot ``flat`` across ``out_port``."""
+        """The one hop body: move slot ``flat``'s head flit over ``out_port``.
+
+        Pops the flit and spends its downstream credit, logs the hop
+        through the outport's hop handle, queues the freed buffer's
+        credit through the inport's credit handle, and hands the flit
+        to the network's delivery list (ejections, the same-cycle
+        arrivals at a link latency of 1, else the arrival heap or the
+        stepped core's list).  Hops are counted when they commit.
+        """
         state = self._slots[flat]
         fifo = state.fifo
         flit = fifo.popleft()
@@ -473,11 +533,43 @@ class Router:
                     f"router {self.node_id} port {out_port.name} "
                     f"VC {out_vc}: credit underflow"
                 )
-        network.transmit(self, out_port, out_vc, flit)
-        n_vcs = self.n_vcs
-        if flat >= n_vcs:  # non-LOCAL input port: return the credit
-            in_port, in_vc = divmod(flat, n_vcs)
-            network._queue_credit(self.node_id, in_port, in_vc)
+        handle = self._hop_handles[out_port]
+        if handle is None:
+            handle = network._bind_hop_handle(self.node_id, out_port)
+            self._hop_handles[out_port] = handle
+        hop_flits, hop_cycles, hop_vcs, neighbor, slot_base = handle
+        if hop_flits is not None:
+            hop_flits.append(flit)
+            hop_cycles.append(network.cycle)
+            hop_vcs.append(out_vc)
+        if local:
+            network._ejections.append((self.node_id, flit))
+        elif network._link_latency == 1:
+            network._same_cycle_arrivals.append(
+                (neighbor, slot_base + out_vc, flit)
+            )
+        else:
+            arrival = (
+                network.cycle + network._link_latency - 1,
+                next(network._arrival_seq),
+                (neighbor, slot_base + out_vc, flit),
+            )
+            if network.event_core:
+                network.heap_pushes += 1
+                heappush(network._arrivals, arrival)
+            else:
+                network._arrivals.append(arrival)
+        if flat >= self.n_vcs:  # non-LOCAL input port: return the credit
+            in_port = self._slot_port[flat]
+            upstream_credits = self._credit_handles[in_port]
+            if upstream_credits is None:
+                upstream_credits = network._bind_credit_handle(
+                    self.node_id, in_port
+                )
+                self._credit_handles[in_port] = upstream_credits
+            network._credits.append(
+                (upstream_credits, self._slot_vc[flat], self.node_id, in_port)
+            )
         if flit.is_tail:
             if not local:
                 self._out_holder[out_port][out_vc] = None
@@ -486,41 +578,59 @@ class Router:
             if fifo:
                 self._needs_alloc.add(flat)
 
-    # -- buffer interface (used by the network and the NIs) ------------
+    # -- buffer interface ----------------------------------------------
 
     def accept_flit(self, in_port: Port, vc_idx: int, flit: Flit) -> None:
         """Append an arriving flit to an input VC buffer."""
-        self._accept_flat(in_port * self.n_vcs + vc_idx, flit)
-
-    def _accept_flat(self, flat: int, flit: Flit) -> None:
-        """:meth:`accept_flit` by flat slot index."""
-        slots = self._slots
-        if slots is None:
-            slots = self._materialize()
-        state = slots[flat]
-        if state is None:
-            state = slots[flat] = VCState(self.vc_depth)
-        elif len(state.fifo) >= state.capacity:
-            raise FlowControlError(
-                f"router {self.node_id} port {self._slot_port[flat].name} "
-                f"VC {self._slot_vc[flat]}: "
-                "buffer overflow (credit protocol violated)"
-            )
-        state.fifo.append(flit)
-        self.buffered_flits += 1
-        if self.buffered_flits > self.peak_occupancy:
-            self.peak_occupancy = self.buffered_flits
-        self._occupied.add(flat)
-        if state.out_vc is None:
-            self._needs_alloc.add(flat)
+        node = self.node_id
+        flat = in_port * self.n_vcs + vc_idx
+        accept_arrivals({node: self}, ((node, flat, flit),))
 
     def local_vc_space(self, vc_idx: int) -> int:
         """Free slots in the local (injection) input VC buffer."""
         slots = self._slots
         state = None if slots is None else slots[vc_idx]
-        return self.vc_depth if state is None else state.free_slots
+        if state is None:
+            return self.vc_depth
+        return state.capacity - len(state.fifo)
 
     @property
     def is_active(self) -> bool:
         """True when any input VC holds flits."""
         return self.buffered_flits > 0
+
+
+def accept_arrivals(
+    routers: Sequence[Router] | dict[int, Router],
+    arrivals: Iterable[tuple[int, int, Flit]],
+) -> None:
+    """The one accept body: buffer every ``(node, flat slot, flit)``.
+
+    ``routers`` is indexed by the arrivals' node ids.  Each flit joins
+    input slot ``flat`` of ``routers[node]``, building the router's
+    state and the slot's :class:`VCState` on first use.  The network
+    commits a cycle's link arrivals in one call; an NI calls it once
+    per injected flit.
+    """
+    for node, flat, flit in arrivals:
+        router = routers[node]
+        slots = router._slots
+        if slots is None:
+            slots = router._materialize()
+        state = slots[flat]
+        if state is None:
+            state = slots[flat] = VCState(router.vc_depth)
+        elif len(state.fifo) >= state.capacity:
+            raise FlowControlError(
+                f"router {node} port {router._slot_port[flat].name} "
+                f"VC {router._slot_vc[flat]}: "
+                "buffer overflow (credit protocol violated)"
+            )
+        state.fifo.append(flit)
+        buffered = router.buffered_flits + 1
+        router.buffered_flits = buffered
+        if buffered > router.peak_occupancy:
+            router.peak_occupancy = buffered
+        router._occupied.add(flat)
+        if state.out_vc is None:
+            router._needs_alloc.add(flat)

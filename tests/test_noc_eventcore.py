@@ -9,17 +9,26 @@ configuration axes that stress different parts of the fast path:
 multi-cycle links, multi-flit injection, congestion-heavy arbitration,
 packet scheduling policies, pipelined (no-barrier) mode, and
 injection-link recording.
+
+Since both cores share the hop body and count hops as they commit, the
+synthetic matrix also checks ``stats.flit_hops`` against an X-Y route
+length oracle that shares no code with either core.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
+import sys
+import weakref
+from pathlib import Path
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+import repro.noc
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.simulator import AcceleratorSimulator
 from repro.dnn.models import build_model
@@ -29,7 +38,9 @@ from repro.noc.recorder import score_hops
 from repro.noc.traffic import (
     SyntheticTrafficConfig,
     TrafficPattern,
+    drive_schedule,
     drive_synthetic,
+    generate_traffic,
 )
 from repro.ordering.strategies import OrderingMethod
 from repro.workloads.figures import figure_lenet_image, figure_trained_lenet
@@ -46,6 +57,20 @@ def run_synthetic_pair(traffic: SyntheticTrafficConfig, noc: NoCConfig):
             traffic, dataclasses.replace(noc, core=core)
         )
     return networks["event"], networks["stepped"]
+
+
+def xy_flit_hops(traffic: SyntheticTrafficConfig, noc: NoCConfig) -> int:
+    """Flit hops of ``traffic`` under X-Y routing, from route lengths.
+
+    Every flit crosses ``|dx| + |dy|`` mesh links plus its ejection
+    link, so a packet contributes ``len(flits) * (|dx| + |dy| + 1)``.
+    """
+    total = 0
+    for _, packet in generate_traffic(traffic, noc):
+        dx = packet.dst % noc.width - packet.src % noc.width
+        dy = packet.dst // noc.width - packet.src // noc.width
+        total += len(packet.flits) * (abs(dx) + abs(dy) + 1)
+    return total
 
 
 def assert_networks_equal(event: Network, stepped: Network) -> None:
@@ -131,6 +156,16 @@ SYNTHETIC_MATRIX = [
         dict(injection_rate=2),
     ),
     (
+        "no_ejection_record",
+        dict(n_packets=40, injection_window=30),
+        dict(record_ejection=False),
+    ),
+    (
+        "no_ejection_record_link_latency_3",
+        dict(n_packets=40, injection_window=60),
+        dict(record_ejection=False, link_latency=3),
+    ),
+    (
         "record_injection",
         dict(n_packets=40, injection_window=50),
         dict(record_injection=True),
@@ -175,6 +210,9 @@ class TestSyntheticEquivalence:
         )
         event, stepped = run_synthetic_pair(traffic, noc)
         assert_networks_equal(event, stepped)
+        expected = xy_flit_hops(traffic, noc)
+        assert event.stats.flit_hops == expected
+        assert stepped.stats.flit_hops == expected
 
     def test_sparse_run_fast_forwards(self):
         traffic = SyntheticTrafficConfig(n_packets=20,
@@ -203,6 +241,70 @@ class TestSyntheticEquivalence:
         # 3 hops at 5 cycles each plus router stages: latency must
         # reflect the link pipeline under both cores.
         assert results["event"].stats.cycles > 15
+
+
+class TestHopPathGuards:
+    @pytest.mark.parametrize("core", CORES)
+    def test_drained_network_freed_by_refcount(self, core):
+        """A drained network and its routers form no reference cycle,
+        so ``del`` frees them with the cyclic GC off (bound hop and
+        credit handles hold ints and lists, never a router)."""
+        traffic = SyntheticTrafficConfig(n_packets=30, injection_window=20,
+                                         seed=5)
+        noc = NoCConfig(width=4, height=4, link_width=64, core=core)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            net = drive_synthetic(traffic, noc)
+            busiest = max(net.routers, key=lambda r: r.peak_occupancy)
+            assert busiest.peak_occupancy > 0
+            net_ref = weakref.ref(net)
+            router_ref = weakref.ref(busiest)
+            del net, busiest
+            assert net_ref() is None
+            assert router_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_hot_path_call_budget(self):
+        """Python calls into ``repro/noc/`` per flit hop stay <= 3.0.
+
+        A fixed long-route run (8x8, 4 VCs, 16-flit bit-complement
+        packets, mostly single-VC streaming like the large-mesh
+        accelerator runs), counted with ``sys.setprofile`` over the
+        drive loop, so the guard is deterministic and free of timing
+        noise.  Before the hop path was fused into one hop body and one
+        batched accept body, this run made 7.45 calls per hop.
+        """
+        traffic = SyntheticTrafficConfig(
+            pattern=TrafficPattern.BIT_COMPLEMENT,
+            n_packets=200,
+            flits_per_packet=16,
+            injection_window=1200,
+            seed=9,
+        )
+        noc = NoCConfig(width=8, height=8, n_vcs=4, link_width=64)
+        network = Network(noc)
+        events = list(generate_traffic(traffic, noc))
+        noc_dir = str(Path(repro.noc.__file__).parent)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(
+                noc_dir
+            ):
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            drive_schedule(network, events)
+        finally:
+            sys.setprofile(None)
+        hops = network.stats.flit_hops
+        assert hops == xy_flit_hops(traffic, noc)
+        assert calls / hops <= 3.0, f"{calls} calls for {hops} hops"
 
 
 # (label, model, overrides of the 3x3 MC1 O2 3-task base point).
